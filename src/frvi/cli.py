@@ -39,6 +39,7 @@ from .qvi import (
     contraction_certificate,
     estimate_poincare_constant,
     estimate_sobolev_constant,
+    solve_qvi,
 )
 from .studies import (
     holder_study_g,
@@ -78,7 +79,7 @@ _ALLOWED_KEYS = {
     "study-holder": {"t_values", "h"},
     "study-sigma-limit": {"sigmas", "kmax"},
     "study-mosco": {"factors"},
-    "run": {"seed", "out", "threads"},
+    "run": {"seed", "out"},
 }
 
 
@@ -131,6 +132,19 @@ def _get(cfg, section, key, cast, default=None):
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
 
+def _built_from_config(build):
+    """Report a ValueError or IndexError raised while `build` turns config
+    values into objects as a ConfigError."""
+    def wrapper(*args):
+        try:
+            return build(*args)
+        except ConfigError:
+            raise
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"bad config value ({type(exc).__name__}: {exc})") from exc
+    return wrapper
+
+
 def _field_from_spec(spec: str, grid, mask, base_dir: Path) -> np.ndarray:
     """Presets: constant:<c>, mode:<k>:<amp> (sine along axis 0), file:<path>;
     constant and mode are restricted to the sub-domain."""
@@ -181,6 +195,7 @@ def _coefficients_from_spec(cfg, grid, base_dir: Path) -> EllipticCoefficients:
     raise ConfigError(f"unknown coefficients spec {spec!r}")
 
 
+@_built_from_config
 def _problem_from_config(cfg, base_dir: Path) -> tuple:
     grid = make_grid(_get(cfg, "grid", "dim", int),
                      _get(cfg, "grid", "extent", float),
@@ -217,6 +232,7 @@ def _gamma_from_spec(spec: str, mask, sigma: float) -> tuple:
     raise ConfigError(f"unknown gamma spec {spec!r}")
 
 
+@_built_from_config
 def _operator_from_config(cfg, data: ProblemData):
     variant = _get(cfg, "qvi", "variant", str)
     mask, sigma = data.mask, data.sigma
@@ -280,8 +296,16 @@ def _write_study(report, out: Path, log: RunLog, artifacts: list) -> int:
     return EXIT_OK if report.passed else EXIT_BOUND
 
 
+def _write_certificate(report, out: Path, artifacts: list) -> None:
+    write_csv(out / "certificate.csv",
+              ["C_sharp", "R_f", "eta", "gamma", "q", "certified"],
+              [[report.C_sharp, report.R_f, report.eta_Rf, report.gamma_Rf,
+                report.q, report.certified]])
+    artifacts.append("certificate.csv")
+
+
 def run(config_path: str, subcommand: str, out_dir: str | None = None,
-        seed: int | None = None, threads: int = 0) -> int:
+        seed: int | None = None) -> int:
     """Execute one subcommand against a config; returns the exit status."""
     if subcommand not in SUBCOMMANDS:
         print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
@@ -300,7 +324,7 @@ def run(config_path: str, subcommand: str, out_dir: str | None = None,
     out.mkdir(parents=True, exist_ok=True)
     log = RunLog(out / "run.log")
     log.event("start", subcommand=subcommand, config=str(config_path),
-              seed=seed, threads=threads)
+              seed=seed)
     artifacts = []
     try:
         status = _dispatch(subcommand, cfg, base_dir, out, seed, log, artifacts)
@@ -340,7 +364,6 @@ def _dispatch(subcommand, cfg, base_dir, out, seed, log, artifacts) -> int:
         data, pen = _problem_from_config(cfg, base_dir)
         operator = _operator_from_config(cfg, data)
         problem = QVIProblem(data.mask, data.sigma, data.A, data.f)
-        from .qvi import solve_qvi
         sol = solve_qvi(
             problem, operator, pen,
             damping=_get(cfg, "qvi", "damping", float, 1.0),
@@ -359,11 +382,7 @@ def _dispatch(subcommand, cfg, base_dir, out, seed, log, artifacts) -> int:
             report = contraction_certificate(
                 data.f, data.mask, data.sigma, operator, c_star.value,
                 data.A.a_star)
-            write_csv(out / "certificate.csv",
-                      ["C_sharp", "R_f", "eta", "gamma", "q", "certified"],
-                      [[report.C_sharp, report.R_f, report.eta_Rf,
-                        report.gamma_Rf, report.q, report.certified]])
-            artifacts.append("certificate.csv")
+            _write_certificate(report, out, artifacts)
         log.event("solved", outer_iters=sol.iterations, converged=sol.converged,
                   fp_residual=sol.fixed_point_residual)
         print(f"solve-qvi: iters={sol.iterations} converged={sol.converged} "
@@ -414,11 +433,7 @@ def _dispatch(subcommand, cfg, base_dir, out, seed, log, artifacts) -> int:
         c_star = estimate_sobolev_constant(data.grid, data.mask, data.sigma)
         report = contraction_certificate(data.f, data.mask, data.sigma,
                                          operator, c_star.value, data.A.a_star)
-        write_csv(out / "certificate.csv",
-                  ["C_sharp", "R_f", "eta", "gamma", "q", "certified"],
-                  [[report.C_sharp, report.R_f, report.eta_Rf, report.gamma_Rf,
-                    report.q, report.certified]])
-        artifacts.append("certificate.csv")
+        _write_certificate(report, out, artifacts)
         log.event("certificate", q=report.q, certified=report.certified)
         print(f"certificate: q={report.q:.4g} certified={report.certified}")
         return EXIT_OK
@@ -451,11 +466,8 @@ def main(argv: list | None = None) -> int:
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=0,
-                        help="0 = auto (runs are single-process either way)")
     args = parser.parse_args(argv)
-    return run(args.config, args.subcommand, out_dir=args.out,
-               seed=args.seed, threads=args.threads)
+    return run(args.config, args.subcommand, out_dir=args.out, seed=args.seed)
 
 
 if __name__ == "__main__":

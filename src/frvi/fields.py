@@ -158,9 +158,6 @@ class ScalarField:
             raise ValueError("field contains non-finite values")
         object.__setattr__(self, "values", v)
 
-    def map(self, fn) -> "ScalarField":
-        return ScalarField(self.grid, fn(self.values))
-
 
 @dataclass(frozen=True)
 class VectorField:
@@ -185,7 +182,13 @@ class VectorField:
 
     def magnitude(self) -> np.ndarray:
         """Pointwise Euclidean norm |w(x)|."""
-        return np.sqrt(sum(c * c for c in self.components))
+        return magnitude(self.components)
+
+
+def magnitude(w) -> np.ndarray:
+    """Pointwise Euclidean norm of a stacked (N, *grid.shape) array or a
+    sequence of N component arrays."""
+    return np.sqrt(sum(c * c for c in w))
 
 
 def scalar_field(grid: Grid, values) -> ScalarField:
@@ -262,14 +265,17 @@ def write_fvf(path, f: ScalarField | VectorField) -> None:
 def read_fvf(path) -> ScalarField | VectorField:
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ValueError(f"truncated FVF header: {path}")
         magic, dim, n, L, ncomp, _ = _HEADER.unpack(header)
         if magic != FVF_MAGIC:
             raise ValueError(f"not an FVF1 file: {path}")
         grid = Grid(dim=dim, extent=L, resolution=n)
-        comps = []
-        for _ in range(ncomp):
-            raw = fh.read(8 * grid.num_nodes)
-            comps.append(np.frombuffer(raw, dtype="<f8").reshape(grid.shape))
+        payload = fh.read()
+    if len(payload) != 8 * grid.num_nodes * ncomp:
+        raise ValueError(f"FVF payload of {len(payload)} bytes does not hold "
+                         f"{ncomp} component(s) of {grid.num_nodes} nodes: {path}")
+    comps = np.frombuffer(payload, dtype="<f8").reshape((ncomp,) + grid.shape)
     if ncomp == 1:
         return ScalarField(grid, comps[0])
     return VectorField(grid, tuple(comps))

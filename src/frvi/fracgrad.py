@@ -9,6 +9,9 @@ subspace; the spectral forms are exact there.
 A dense singular-integral evaluation of the fractional gradient is kept as
 a small-scale cross-check oracle for the spectral route.
 
+The only module that calls Fourier transforms: solvers use the array-level
+core (grad_arrays, neg_div_arrays, apply_symbol), fields wrap the same.
+
 Multiplier tables are immutable and cached per (grid, order); transforms
 are pure with per-call workspaces, safe to run concurrently.
 """
@@ -88,8 +91,26 @@ def multiplier_table(grid: Grid, sigma: float) -> tuple:
     return tuple(comps), mag_sigma
 
 
-def _apply_multiplier(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+def apply_symbol(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Apply the Fourier multiplier `mult` to a real grid array."""
     return np.fft.ifftn(mult * np.fft.fftn(values)).real
+
+
+def grad_arrays(values: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
+    """Fractional gradient of a grid array, stacked as (N, *grid.shape)."""
+    comps, _ = multiplier_table(grid, sigma)
+    vhat = np.fft.fftn(values)
+    return np.stack([np.fft.ifftn(m * vhat).real for m in comps])
+
+
+def neg_div_arrays(w: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
+    """Negative fractional divergence of a stacked (N, *grid.shape) array,
+    the adjoint of grad_arrays."""
+    comps, _ = multiplier_table(grid, sigma)
+    acc = np.zeros(grid.shape, dtype=complex)
+    for m, c in zip(comps, w):
+        acc += m * np.fft.fftn(c)
+    return -np.fft.ifftn(acc).real
 
 
 def riesz_potential(u: ScalarField, alpha: float) -> ScalarField:
@@ -99,32 +120,23 @@ def riesz_potential(u: ScalarField, alpha: float) -> ScalarField:
     _, mag_one = multiplier_table(u.grid, 1.0)  # plain |kappa|
     with np.errstate(divide="ignore"):
         mult = np.where(mag_one > 0.0, mag_one ** (-alpha), 0.0)
-    return ScalarField(u.grid, _apply_multiplier(u.values, mult))
+    return ScalarField(u.grid, apply_symbol(u.values, mult))
 
 
 def frac_gradient(u: ScalarField, order: FracOrder | float) -> VectorField:
     """Fractional gradient of order sigma (classical spectral gradient at 1)."""
-    sigma = as_sigma(order)
-    comps, _ = multiplier_table(u.grid, sigma)
-    uhat = np.fft.fftn(u.values)
-    return VectorField(u.grid, tuple(np.fft.ifftn(m * uhat).real for m in comps))
+    return VectorField(u.grid, tuple(grad_arrays(u.values, u.grid, as_sigma(order))))
 
 
 def frac_divergence(w: VectorField, order: FracOrder | float) -> ScalarField:
     """Fractional divergence, the negative adjoint of the fractional gradient."""
-    sigma = as_sigma(order)
-    comps, _ = multiplier_table(w.grid, sigma)
-    acc = np.zeros(w.grid.shape, dtype=complex)
-    for m, c in zip(comps, w.components):
-        acc += m * np.fft.fftn(c)
-    return ScalarField(w.grid, np.fft.ifftn(acc).real)
+    return ScalarField(w.grid, -neg_div_arrays(w.components, w.grid, as_sigma(order)))
 
 
 def frac_laplacian(u: ScalarField, order: FracOrder | float) -> ScalarField:
     """Fractional Laplacian, symbol |kappa|^(2 sigma)."""
-    sigma = as_sigma(order)
-    _, mag_sigma = multiplier_table(u.grid, sigma)
-    return ScalarField(u.grid, _apply_multiplier(u.values, mag_sigma**2))
+    _, mag_sigma = multiplier_table(u.grid, as_sigma(order))
+    return ScalarField(u.grid, apply_symbol(u.values, mag_sigma**2))
 
 
 def assert_supported(u: ScalarField, mask: DomainMask, tol: float = 1e-14) -> None:

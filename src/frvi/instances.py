@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import ScalarField, make_grid, mask_box, scalar_field
+from .fields import ScalarField, lp_norm, make_grid, mask_box, scalar_field
 from .qvi import (
     FracGradKernelOperator,
     IntegralGamma,
@@ -27,6 +27,7 @@ from .qvi import (
     ThresholdOperator,
     estimate_poincare_constant,
     estimate_sobolev_constant,
+    safety_factored_constant,
     sobolev_exponents,
 )
 from .vi import (
@@ -163,11 +164,8 @@ def qvi_separated_certified() -> QVIInstance:
     prob = _qvi_base()
     c_star, c_poincare = estimated_constants_1d()
     _, two_sharp = sobolev_exponents(1, prob.sigma)
-    from .fields import lp_norm
-    from .qvi import C_STAR_SAFETY
-
     f_norm = lp_norm(prob.f, two_sharp, prob.mask)
-    c_sharp = C_STAR_SAFETY * c_star / prob.A.a_star
+    c_sharp = safety_factored_constant(c_star, prob.A.a_star)
     target_ratio = 0.5 / (2.0 * c_sharp * f_norm)  # required lip/floor
     vol = prob.mask.volume
     beta = 2.0 * math.sqrt(vol) * max(1.0, c_poincare)

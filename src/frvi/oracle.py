@@ -13,18 +13,15 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .fields import ScalarField, VectorField, lp_norm
+from .fields import ScalarField, VectorField, lp_norm, magnitude
+from .fracgrad import apply_symbol, grad_arrays, multiplier_table, neg_div_arrays
 from .vi import (
     ProblemData,
     SolverDivergence,
     Threshold,
-    _grad_arrays,
-    _magnitude,
-    _neg_div_arrays,
     energy,
     sample_feasible,
 )
-from .fracgrad import multiplier_table
 
 ORACLE_NODE_LIMIT = 16384
 DENSE_UNKNOWN_LIMIT = 4096
@@ -35,12 +32,6 @@ def project_ball(w: VectorField, g: Threshold) -> VectorField:
     mag = w.magnitude()
     factor = np.where(mag > g.g.values, g.g.values / np.where(mag > 0, mag, 1.0), 1.0)
     return VectorField(w.grid, tuple(factor * c for c in w.components))
-
-
-def _project_arrays(w: np.ndarray, gvals: np.ndarray) -> np.ndarray:
-    mag = _magnitude(w)
-    factor = np.where(mag > gvals, gvals / np.where(mag > 0, mag, 1.0), 1.0)
-    return factor[None, ...] * w
 
 
 class _DenseOperator:
@@ -63,8 +54,8 @@ class _DenseOperator:
         idx = np.argwhere(self.inside)
         for j, node in enumerate(idx):
             basis[tuple(node)] = 1.0
-            w = _grad_arrays(basis, self.grid, self.data.sigma)
-            out = _neg_div_arrays(coeff_apply(w), self.grid, self.data.sigma)
+            w = grad_arrays(basis, self.grid, self.data.sigma)
+            out = neg_div_arrays(coeff_apply(w), self.grid, self.data.sigma)
             cols[:, j] = out[self.inside]
             basis[tuple(node)] = 0.0
         return cols
@@ -82,10 +73,8 @@ def oracle_solve_pde(data: ProblemData) -> ScalarField:
         a = float(data.A.values.flat[0])
         _, mag_sigma = multiplier_table(grid, data.sigma)
         mult = mag_sigma**2
-        fhat = np.fft.fftn(data.f.values)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            uhat = np.where(mult > 0.0, fhat / (a * np.where(mult > 0, mult, 1.0)), 0.0)
-        u_vals = np.fft.ifftn(uhat).real
+        inverse = np.where(mult > 0.0, 1.0 / (a * np.where(mult > 0, mult, 1.0)), 0.0)
+        u_vals = apply_symbol(data.f.values, inverse)
     else:
         if grid.num_nodes > DENSE_UNKNOWN_LIMIT:
             raise ValueError("masked dense solve limited to 4096 nodes")
@@ -96,13 +85,13 @@ def oracle_solve_pde(data: ProblemData) -> ScalarField:
         u_vals[data.mask.inside] = x
     u = ScalarField(grid, u_vals)
     # residual check
-    w = _grad_arrays(u.values, grid, data.sigma)
-    r = _neg_div_arrays(data.A.apply(w), grid, data.sigma) - data.f.values
+    w = grad_arrays(u.values, grid, data.sigma)
+    r = neg_div_arrays(data.A.apply(w), grid, data.sigma) - data.f.values
     r = np.where(data.mask.inside, r, 0.0)
     fnorm = lp_norm(data.f, 2)
     if float(np.abs(r).max()) > 1e-10 * max(1.0, fnorm):
         raise SolverDivergence("linear oracle residual too large")
-    if float((_magnitude(w) - data.g.g.values).max()) >= 0.0:
+    if float((magnitude(w) - data.g.g.values).max()) >= 0.0:
         raise ValueError("constraint active: use the constrained path")
     return u
 
@@ -123,27 +112,25 @@ def oracle_solve_vi(data: ProblemData, rho: float = 1.0, tol: float = 1e-9,
     op = _DenseOperator(data)
     inside = data.mask.inside
     f_in = data.f.values[inside]
-    gvals = data.g.g.values
     sigma = data.sigma
 
     shape = (grid.dim,) + grid.shape
     w = np.zeros(shape)
     y = np.zeros(shape)
     factor = cho_factor(op.system(rho))
-    w_scale_ref = 1.0
     since_refactor = 0
     for it in range(max_iter):
-        rhs = f_in + _neg_div_arrays(w - y, grid, sigma)[inside] * rho
+        rhs = f_in + neg_div_arrays(w - y, grid, sigma)[inside] * rho
         x = cho_solve(factor, rhs)
         u_vals = np.zeros(grid.shape)
         u_vals[inside] = x
-        du = _grad_arrays(u_vals, grid, sigma)
+        du = grad_arrays(u_vals, grid, sigma)
         w_old = w
-        w = _project_arrays(du + y, gvals)
+        w = np.stack(project_ball(VectorField(grid, tuple(du + y)), data.g).components)
         y = y + du - w
         hN = grid.cell_volume
         primal = float(np.sqrt(hN * np.sum((du - w) ** 2)))
-        dual_field = _neg_div_arrays(w - w_old, grid, sigma)[inside]
+        dual_field = neg_div_arrays(w - w_old, grid, sigma)[inside]
         dual = rho * float(np.sqrt(hN * np.sum(dual_field**2)))
         scale = 1.0 + float(np.sqrt(hN * np.sum(du**2)))
         if primal <= tol * scale and dual <= tol * scale:

@@ -11,14 +11,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import DomainMask, Grid, ScalarField, inner, lp_norm
-from .fracgrad import hsigma_norm, random_band_limited
+from .fracgrad import grad_arrays, hsigma_norm, neg_div_arrays, random_band_limited
 from .vi import (
     EllipticCoefficients,
     PenaltyConfig,
     ProblemData,
     Threshold,
     VISolution,
-    _grad_arrays,
     solve_vi,
 )
 
@@ -76,9 +75,8 @@ def _rayleigh_ascent(grid: Grid, mask: DomainMask, sigma: float, p: float,
 
     def grad_den_sq(vals):
         # gradient of ||u||_Hsigma^2 = <u, (-Delta)^sigma u> restricted
-        w = _grad_arrays(vals, grid, sigma)
-        from .vi import _neg_div_arrays
-        return 2.0 * np.where(inside, _neg_div_arrays(w, grid, sigma), 0.0)
+        w = grad_arrays(vals, grid, sigma)
+        return 2.0 * np.where(inside, neg_div_arrays(w, grid, sigma), 0.0)
 
     best = 0.0
     best_final_gain = 0.0
@@ -216,7 +214,7 @@ class FracGradKernelOperator(ThresholdOperator):
 
     def _evaluate(self, u: ScalarField) -> np.ndarray:
         grid = self.mask.grid
-        du = _grad_arrays(u.values, grid, self.sigma)
+        du = grad_arrays(u.values, grid, self.sigma)
         hN = grid.cell_volume
         w_inside = hN * self.theta.reshape(self.mask.num_inside, -1) @ du.ravel()
         w = np.zeros(grid.shape)
@@ -296,7 +294,7 @@ class IntegralGamma(GammaFunctional):
 
     def __call__(self, u: ScalarField) -> float:
         grid = self.mask.grid
-        du = _grad_arrays(u.values, grid, self.sigma)
+        du = grad_arrays(u.values, grid, self.sigma)
         integrand = np.sqrt(1.0 + u.values**2 + np.sum(du * du, axis=0))
         return self.eta0 + self.c1 * grid.cell_volume * float(
             integrand[self.mask.inside].sum())
@@ -333,6 +331,11 @@ class SeparatedOperator(ThresholdOperator):
 C_STAR_SAFETY = 2.0
 
 
+def safety_factored_constant(c_star: float, a_star: float) -> float:
+    """C# from the lower-bound embedding estimate c_star, kept conservative."""
+    return C_STAR_SAFETY * c_star / a_star
+
+
 @dataclass
 class ContractionReport:
     C_sharp: float
@@ -359,7 +362,7 @@ def contraction_certificate(f: ScalarField, mask: DomainMask, sigma: float,
         raise ValueError("certificate applies to the separated variant only")
     _, two_sharp = sobolev_exponents(mask.grid.dim, sigma)
     f_norm = lp_norm(f, two_sharp, mask)
-    c_sharp = C_STAR_SAFETY * c_star / a_star
+    c_sharp = safety_factored_constant(c_star, a_star)
     r_f = c_sharp * f_norm
     eta = operator.gamma.floor(r_f)
     gam = operator.gamma.lip(r_f)

@@ -18,7 +18,12 @@ import numpy as np
 
 from .fields import ScalarField, VectorField, lp_norm, write_csv
 from .fracgrad import frac_gradient, hsigma_norm
-from .qvi import estimate_sobolev_constant, sobolev_exponents
+from .qvi import (
+    C_STAR_SAFETY,
+    estimate_sobolev_constant,
+    safety_factored_constant,
+    sobolev_exponents,
+)
 from .vi import (
     PenaltyConfig,
     ProblemData,
@@ -26,9 +31,6 @@ from .vi import (
     sample_feasible,
     solve_vi,
 )
-
-C_STAR_SAFETY = 2.0
-
 
 @dataclass
 class BoundCheck:
@@ -91,10 +93,13 @@ def empirical_kappa(solutions: list, data: ProblemData, extra_samples: int = 20,
     return best
 
 
-def _sobolev_bound_constant(data: ProblemData) -> tuple:
-    est = estimate_sobolev_constant(data.grid, data.mask, data.sigma)
-    c_sharp = C_STAR_SAFETY * est.value / data.A.a_star
-    return c_sharp, est
+def _holder_constant(data: ProblemData, kappa: float) -> tuple:
+    """(C_nu, |f|_L1) with C_nu = sqrt(C'_nu / a_*) and
+    C'_nu = 2 kappa^2 |f|_L1^2 (a^* + a_*) / (a_*^2 nu)."""
+    a_star, a_up = data.A.a_star, data.A.a_upper
+    f_l1 = lp_norm(data.f, 1, data.mask)
+    c_nu_prime = 2.0 * kappa**2 * f_l1**2 * (a_up + a_star) / (a_star**2 * data.g.nu)
+    return math.sqrt(c_nu_prime / a_star), f_l1
 
 
 def lipschitz_study_f(base: ProblemData, deltas: list,
@@ -124,7 +129,8 @@ def lipschitz_study_f(base: ProblemData, deltas: list,
         ratios_l1.append(du / dn_l1)
         rows.append([i, dn_sharp, dn_l1, du / dn_sharp, du / dn_l1, "solved"])
     kappa, witness = empirical_kappa(solutions, base, with_witness=True)
-    c_sharp, est = _sobolev_bound_constant(base)
+    est = estimate_sobolev_constant(base.grid, base.mask, base.sigma)
+    c_sharp = safety_factored_constant(est.value, base.A.a_star)
     checks = [
         BoundCheck("lipschitz_2sharp", max(ratios_sharp, default=0.0), c_sharp,
                    f"C_sharp = {C_STAR_SAFETY}x estimated C*({est.value:.4g}) / a*"),
@@ -167,10 +173,7 @@ def holder_study_g(base: ProblemData, t_values: list, h_direction: ScalarField,
         rhos.append((t, rho))
         rows.append([t, du, rho, "solved"])
     kappa, witness = empirical_kappa(solutions, base, with_witness=True)
-    a_star, a_up = base.A.a_star, base.A.a_upper
-    f_l1 = lp_norm(base.f, 1, base.mask)
-    c_nu_prime = 2.0 * kappa**2 * f_l1**2 * (a_up + a_star) / (a_star**2 * base.g.nu)
-    c_nu = math.sqrt(c_nu_prime / a_star)
+    c_nu, f_l1 = _holder_constant(base, kappa)
     rho_vals = [r for _, r in rhos]
     checks = [BoundCheck("holder_bound", max(rho_vals, default=0.0), c_nu,
                          f"C_nu = sqrt(C'_nu/a*), C'_nu = 2 kappa^2 |f|_L1^2 "
@@ -270,10 +273,7 @@ def mosco_diagnostic(data: ProblemData, g_sequence: list,
         devs.append(dev)
         gaps.append(gap)
     kappa, witness = empirical_kappa(solutions, data, with_witness=True)
-    a_star, a_up = data.A.a_star, data.A.a_upper
-    f_l1 = lp_norm(data.f, 1, data.mask)
-    c_nu = math.sqrt(2.0 * kappa**2 * f_l1**2 * (a_up + a_star)
-                     / (a_star**2 * data.g.nu) / a_star)
+    c_nu, _ = _holder_constant(data, kappa)
     checks = []
     order = np.argsort(gaps)
     ordered_devs = [devs[i] for i in order]

@@ -23,11 +23,15 @@ from .fields import (
     Grid,
     ScalarField,
     inner,
+    magnitude,
 )
 from .fracgrad import (
+    apply_symbol,
     assert_supported,
+    grad_arrays,
     hsigma_norm,
     multiplier_table,
+    neg_div_arrays,
     random_band_limited,
 )
 
@@ -244,38 +248,12 @@ def penalty_slope(s, eps: float):
     return out
 
 
-# -- spectral plumbing -------------------------------------------------------
-
-
-def _grad_arrays(values: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
-    comps, _ = multiplier_table(grid, sigma)
-    vhat = np.fft.fftn(values)
-    return np.stack([np.fft.ifftn(m * vhat).real for m in comps])
-
-
-def _neg_div_arrays(w: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
-    comps, _ = multiplier_table(grid, sigma)
-    acc = np.zeros(grid.shape, dtype=complex)
-    for m, c in zip(comps, w):
-        acc += m * np.fft.fftn(c)
-    return -np.fft.ifftn(acc).real
-
-
-def _magnitude(w: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(w * w, axis=0))
-
-
 def penalized_residual(u: ScalarField, data: ProblemData, eps: float) -> ScalarField:
     """Strong-form residual of the penalized quasilinear problem on Omega
     nodes (zero outside): -div^sigma[(k_eps + A) D^sigma u] - f."""
     assert_supported(u, data.mask)
-    grid = data.grid
-    w = _grad_arrays(u.values, grid, data.sigma)
-    k = penalty_value(_magnitude(w) - data.g.g.values, eps)
-    flux = k[None, ...] * w + data.A.apply(w)
-    r = _neg_div_arrays(flux, grid, data.sigma) - data.f.values
-    r = np.where(data.mask.inside, r, 0.0)
-    return ScalarField(grid, r)
+    sys = _PenalizedSystem(data, eps)
+    return ScalarField(data.grid, sys.unpack(sys.residual(sys.pack(u.values))))
 
 
 class _PenalizedSystem:
@@ -300,24 +278,24 @@ class _PenalizedSystem:
         return full[self.inside]
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        w = _grad_arrays(self.unpack(x), self.grid, self.data.sigma)
-        k = penalty_value(_magnitude(w) - self.g, self.eps)
+        w = grad_arrays(self.unpack(x), self.grid, self.data.sigma)
+        k = penalty_value(magnitude(w) - self.g, self.eps)
         flux = k[None, ...] * w + self.data.A.apply(w)
-        r = _neg_div_arrays(flux, self.grid, self.data.sigma)
+        r = neg_div_arrays(flux, self.grid, self.data.sigma)
         return self.pack(r) - self.f_inside
 
     def frozen_matvec(self, k: np.ndarray):
         """Linear operator with frozen penalty coefficient (Picard step)."""
         def mv(x):
-            w = _grad_arrays(self.unpack(x), self.grid, self.data.sigma)
+            w = grad_arrays(self.unpack(x), self.grid, self.data.sigma)
             flux = k[None, ...] * w + self.data.A.apply(w)
-            return self.pack(_neg_div_arrays(flux, self.grid, self.data.sigma))
+            return self.pack(neg_div_arrays(flux, self.grid, self.data.sigma))
         return mv
 
     def jacobian_matvec(self, x: np.ndarray):
         """Generalized derivative at x of the penalized flux map."""
-        w = _grad_arrays(self.unpack(x), self.grid, self.data.sigma)
-        mag = _magnitude(w)
+        w = grad_arrays(self.unpack(x), self.grid, self.data.sigma)
+        mag = magnitude(w)
         s = mag - self.g
         k = penalty_value(s, self.eps)
         kp = penalty_slope(s, self.eps)
@@ -325,10 +303,10 @@ class _PenalizedSystem:
         coef = kp / safe_mag  # kp = 0 wherever mag could vanish (s < 0 there)
 
         def mv(v):
-            dw = _grad_arrays(self.unpack(v), self.grid, self.data.sigma)
+            dw = grad_arrays(self.unpack(v), self.grid, self.data.sigma)
             radial = coef * np.sum(w * dw, axis=0)
             flux = k[None, ...] * dw + radial[None, ...] * w + self.data.A.apply(dw)
-            return self.pack(_neg_div_arrays(flux, self.grid, self.data.sigma))
+            return self.pack(neg_div_arrays(flux, self.grid, self.data.sigma))
         return mv, k
 
     def preconditioner(self, k_mean: float):
@@ -339,9 +317,7 @@ class _PenalizedSystem:
         mult = 1.0 / (cbar * (mag_sigma**2 + kmin ** (2.0 * self.data.sigma)))
 
         def mv(x):
-            full = self.unpack(x)
-            out = np.fft.ifftn(mult * np.fft.fftn(full)).real
-            return self.pack(out)
+            return self.pack(apply_symbol(self.unpack(x), mult))
         return mv
 
     def solve_linear(self, matvec, rhs: np.ndarray, precond, rtol: float) -> np.ndarray:
@@ -419,15 +395,15 @@ def _solve_penalized_impl(data: ProblemData, eps: float, init: ScalarField,
 
 def extract_multiplier(u_eps: ScalarField, data: ProblemData, eps: float) -> ScalarField:
     """Discrete multiplier density: the penalty coefficient of the iterate."""
-    w = _grad_arrays(u_eps.values, data.grid, data.sigma)
-    lam = penalty_value(_magnitude(w) - data.g.g.values, eps)
+    w = grad_arrays(u_eps.values, data.grid, data.sigma)
+    lam = penalty_value(magnitude(w) - data.g.g.values, eps)
     return ScalarField(data.grid, lam)
 
 
 def feasibility_violation(u: ScalarField, data: ProblemData) -> float:
     """Sup over the whole torus of (|D^sigma u| - g)^+."""
-    w = _grad_arrays(u.values, data.grid, data.sigma)
-    excess = _magnitude(w) - data.g.g.values
+    w = grad_arrays(u.values, data.grid, data.sigma)
+    excess = magnitude(w) - data.g.g.values
     return float(max(excess.max(), 0.0))
 
 
@@ -435,7 +411,7 @@ def energy(u: ScalarField, data: ProblemData) -> float:
     """Quadratic energy 1/2 <A D^sigma u, D^sigma u> - <f, u>; symmetric A only."""
     if not data.A.is_symmetric:
         raise ValueError("energy requires symmetric coefficients")
-    w = _grad_arrays(u.values, data.grid, data.sigma)
+    w = grad_arrays(u.values, data.grid, data.sigma)
     hN = data.grid.cell_volume
     quad = 0.5 * hN * float(np.sum(data.A.apply(w) * w))
     return quad - inner(data.f, u)
@@ -470,8 +446,8 @@ def sample_feasible(data: ProblemData, rng: np.random.Generator,
         shaped = shaped - shaped.mean()
     # aim near the constraint surface so directions are informative
     probe = ScalarField(grid, shaped)
-    w = _grad_arrays(probe.values, grid, data.sigma)
-    mag_max = float(_magnitude(w).max())
+    w = grad_arrays(probe.values, grid, data.sigma)
+    mag_max = float(magnitude(w).max())
     if mag_max > 0:
         shaped = shaped * (0.8 * float(data.g.g.values.min()) / mag_max)
         probe = ScalarField(grid, shaped)
@@ -495,12 +471,12 @@ def vi_residual(u: ScalarField, data: ProblemData, trials: int = 64,
     feasible v; nonnegative (within tolerance) iff u solves the problem."""
     rng = np.random.default_rng(seed)
     grid = data.grid
-    w = _grad_arrays(u.values, grid, data.sigma)
+    w = grad_arrays(u.values, grid, data.sigma)
     Aw = data.A.apply(w)
     hN = grid.cell_volume
 
     def functional(v_vals: np.ndarray) -> float:
-        dv = _grad_arrays(v_vals - u.values, grid, data.sigma)
+        dv = grad_arrays(v_vals - u.values, grid, data.sigma)
         return hN * float(np.sum(Aw * dv)) - hN * float(
             np.dot(data.f.values.ravel(), (v_vals - u.values).ravel()))
 
@@ -513,13 +489,12 @@ def vi_residual(u: ScalarField, data: ProblemData, trials: int = 64,
 def _trace_row(data: ProblemData, u: ScalarField, eps: float,
                iters: int) -> PenaltyTraceRow:
     grid = data.grid
-    w = _grad_arrays(u.values, grid, data.sigma)
-    mag = _magnitude(w)
+    w = grad_arrays(u.values, grid, data.sigma)
+    mag = magnitude(w)
     excess = mag - data.g.g.values
     k = penalty_value(excess, eps)
     hN = grid.cell_volume
     sqrt_eps = math.sqrt(eps)
-    lam = ScalarField(grid, k)
     comp = abs(hN * float(np.sum(k * excess)))
     res = penalized_residual(u, data, eps)
     en = energy(u, data) if data.A.is_symmetric else None
@@ -572,22 +547,20 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
                 break
         prev = u
     lam = extract_multiplier(u, data, eps_final)
-    hN = grid.cell_volume
-    w = _grad_arrays(u.values, grid, data.sigma)
-    excess = _magnitude(w) - data.g.g.values
-    comp_gap = abs(hN * float(np.sum(lam.values * excess)))
-    viol = float(max(excess.max(), 0.0))
+    last = trace[-1]
+    viol, en = last.feas_violation, last.energy
     if shrink:
         u = shrink_to_feasible(u, data)
         viol = feasibility_violation(u, data)
+        en = energy(u, data) if data.A.is_symmetric else None
     return VISolution(
         u=u,
         multiplier=lam,
         eps_final=eps_final,
         feas_violation=viol,
-        comp_gap=comp_gap,
+        comp_gap=last.comp_gap,
         vi_res=vi_residual(u, data, trials=diag_trials, seed=seed),
-        energy=energy(u, data) if data.A.is_symmetric else None,
+        energy=en,
         trace=trace,
     )
 
@@ -595,7 +568,7 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
 def multiplier_equation_residual(sol: VISolution, data: ProblemData) -> float:
     """Sup-norm on Omega of -div^sigma[(lambda + A) D^sigma u] - f."""
     grid = data.grid
-    w = _grad_arrays(sol.u.values, grid, data.sigma)
+    w = grad_arrays(sol.u.values, grid, data.sigma)
     flux = sol.multiplier.values[None, ...] * w + data.A.apply(w)
-    r = _neg_div_arrays(flux, grid, data.sigma) - data.f.values
+    r = neg_div_arrays(flux, grid, data.sigma) - data.f.values
     return float(np.abs(r[data.mask.inside]).max())

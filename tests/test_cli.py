@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from frvi.cli import EXIT_CONFIG, EXIT_OK, run
 from frvi.fields import read_fvf
 
@@ -33,16 +35,30 @@ def test_manifest_lists_all_artifacts(tmp_path):
     assert listed == on_disk
 
 
-def test_invalid_nu_exits_config_error(tmp_path):
-    cfg = (BINDING.read_text().replace("nu = 150.0", "nu = -1.0"))
+@pytest.mark.parametrize("line, bad_line, reason", [
+    pytest.param("nu = 150.0", "nu = -1.0", "threshold lower bound violated",
+                 id="nu-negative"),
+    pytest.param("f = constant:100.0", "f = constant", "IndexError",
+                 id="f-without-value"),
+    pytest.param("g = constant:150.0", "g = constant:abc", "ValueError",
+                 id="g-not-a-number"),
+    pytest.param("sigma = 0.5", "sigma = 1.5", "sigma must lie in (0, 1]",
+                 id="sigma-above-one"),
+    pytest.param("ratio = 0.6", "ratio = 2", "ratio must lie in (0, 1)",
+                 id="ratio-above-one"),
+])
+def test_invalid_nu_exits_config_error(tmp_path, line, bad_line, reason):
+    text = BINDING.read_text()
+    assert text.count(line) == 1
     bad = tmp_path / "bad.cfg"
-    bad.write_text(cfg)
+    bad.write_text(text.replace(line, bad_line))
     out = tmp_path / "out"
     assert run(str(bad), "solve-vi", out_dir=str(out)) == EXIT_CONFIG
     reasons = [json.loads(line) for line in
                (out / "run.log").read_text().splitlines()]
     errors = [r for r in reasons if r["event"] == "error"]
-    assert errors and "threshold lower bound violated" in errors[0]["reason"]
+    assert errors and errors[0]["kind"] == "config"
+    assert reason in errors[0]["reason"]
     assert not (out / "manifest.csv").exists()  # crash-detectable
 
 

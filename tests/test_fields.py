@@ -209,6 +209,20 @@ def test_fvf_rejects_bad_magic(tmp_path):
         read_fvf(p)
 
 
+@pytest.mark.parametrize("damage", [
+    lambda raw: raw[:10],        # truncated header
+    lambda raw: raw[:-8],        # truncated payload
+    lambda raw: raw + b"\x00",   # trailing bytes
+], ids=["truncated-header", "truncated-payload", "trailing-bytes"])
+def test_fvf_rejects_damaged_file(tmp_path, damage):
+    g = make_grid(2, 1.0, 8)
+    p = tmp_path / "damaged.fvf"
+    write_fvf(p, VectorField(g, (np.ones(g.shape), np.zeros(g.shape))))
+    p.write_bytes(damage(p.read_bytes()))
+    with pytest.raises(ValueError, match="damaged.fvf"):
+        read_fvf(p)
+
+
 def test_csv_deterministic(tmp_path):
     rows = [[1, 0.1 + 0.2, "x"], [2, 1e-17, "y"]]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
