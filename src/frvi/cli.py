@@ -58,7 +58,7 @@ from .vi import (
     identity_coefficients,
     solve_vi,
 )
-from .fracgrad import hsigma_norm, random_band_limited
+from .fracgrad import FracOrder, hsigma_norm, random_band_limited
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -132,6 +132,30 @@ def _get(cfg, section, key, cast, default=None):
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
 
+def _get_list(cfg, section, key, build):
+    """[section] key as a comma-separated list, each item through `build`;
+    a ValueError from any item becomes a ConfigError naming the key."""
+    raw = _get(cfg, section, key, str)
+    try:
+        return [build(item) for item in raw.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"bad value for [{section}] {key}: {raw!r} ({exc})") from exc
+
+
+def _positive_int(raw: str) -> int:
+    n = int(raw)
+    if n < 1:
+        raise ValueError(f"{raw!r} is not a positive integer")
+    return n
+
+
+def _nonnegative_float(raw: str) -> float:
+    t = float(raw)
+    if not t >= 0.0:
+        raise ValueError(f"{raw!r} is not a number >= 0")
+    return t
+
+
 def _built_from_config(build):
     """Report a ValueError or IndexError raised while `build` turns config
     values into objects as a ConfigError."""
@@ -145,6 +169,7 @@ def _built_from_config(build):
     return wrapper
 
 
+@_built_from_config
 def _field_from_spec(spec: str, grid, mask, base_dir: Path) -> np.ndarray:
     """Presets: constant:<c>, mode:<k>:<amp> (sine along axis 0), file:<path>;
     constant and mode are restricted to the sub-domain."""
@@ -335,7 +360,8 @@ def run(config_path: str, subcommand: str, out_dir: str | None = None,
         return EXIT_CONFIG
     except SolverDivergence as exc:
         log.event("error", kind="divergence", reason=str(exc),
-                  history=[float(h) for h in exc.history])
+                  history=[float(h) for h in exc.history],
+                  krylov_nonconverged=exc.krylov_nonconverged)
         log.flush()
         print(f"solver divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
@@ -397,13 +423,13 @@ def _dispatch(subcommand, cfg, base_dir, out, seed, log, artifacts) -> int:
 
     if subcommand == "study-lipschitz":
         data, pen = _problem_from_config(cfg, base_dir)
-        factors = [float(t) for t in _get(cfg, "study-lipschitz", "deltas", str).split(",")]
-        deltas = [ScalarField(data.grid, t * data.f.values) for t in factors]
+        deltas = _get_list(cfg, "study-lipschitz", "deltas",
+                           lambda t: ScalarField(data.grid, float(t) * data.f.values))
         return _write_study(lipschitz_study_f(data, deltas, pen), out, log, artifacts)
 
     if subcommand == "study-holder":
         data, pen = _problem_from_config(cfg, base_dir)
-        ts = [float(t) for t in _get(cfg, "study-holder", "t_values", str).split(",")]
+        ts = _get_list(cfg, "study-holder", "t_values", _nonnegative_float)
         h = ScalarField(data.grid, _field_from_spec(
             _get(cfg, "study-holder", "h", str), data.grid, data.mask, base_dir))
         h = ScalarField(data.grid, np.abs(h.values))
@@ -411,7 +437,8 @@ def _dispatch(subcommand, cfg, base_dir, out, seed, log, artifacts) -> int:
 
     if subcommand == "study-sigma-limit":
         data, _ = _problem_from_config(cfg, base_dir)
-        sigmas = [float(s) for s in _get(cfg, "study-sigma-limit", "sigmas", str).split(",")]
+        sigmas = _get_list(cfg, "study-sigma-limit", "sigmas",
+                           lambda s: FracOrder(float(s)).sigma)
         kmax = _get(cfg, "study-sigma-limit", "kmax", int, 2)
         rng = np.random.default_rng(seed)
         u = random_band_limited(data.grid, rng, kmax=kmax)
@@ -420,7 +447,7 @@ def _dispatch(subcommand, cfg, base_dir, out, seed, log, artifacts) -> int:
 
     if subcommand == "study-mosco":
         data, pen = _problem_from_config(cfg, base_dir)
-        ns = [int(n) for n in _get(cfg, "study-mosco", "factors", str).split(",")]
+        ns = _get_list(cfg, "study-mosco", "factors", _positive_int)
         gs = [Threshold(ScalarField(data.grid, data.g.g.values * (1.0 + 1.0 / n)),
                         data.g.nu) for n in ns]
         return _write_study(mosco_diagnostic(data, gs, pen), out, log, artifacts)

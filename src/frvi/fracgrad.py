@@ -11,9 +11,15 @@ a small-scale cross-check oracle for the spectral route.
 
 The only module that calls Fourier transforms: solvers use the array-level
 core (grad_arrays, neg_div_arrays, apply_symbol), fields wrap the same.
+The core runs real-input transforms (rfft/irfft in 1D, rfftn/irfftn in
+higher dimensions) on the half spectrum, the last axis cut to n//2 + 1
+bins: every symbol it applies is Hermitian, m(-k) = conj(m(k)), so the
+other half is redundant.  A stacked (N, *grid.shape) array goes through
+one transform call, not one per component.
 
-Multiplier tables are immutable and cached per (grid, order); transforms
-are pure with per-call workspaces, safe to run concurrently.
+Multiplier tables are immutable and cached per (grid, order), the half
+tables beside the full ones; transforms are pure with per-call
+workspaces, safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 from scipy.special import zeta as sp_zeta
 
 from .fields import DomainMask, Grid, ScalarField, VectorField, lp_norm
@@ -91,26 +98,52 @@ def multiplier_table(grid: Grid, sigma: float) -> tuple:
     return tuple(comps), mag_sigma
 
 
+@lru_cache(maxsize=64)
+def _half_table(grid: Grid, sigma: float) -> np.ndarray:
+    """multiplier_table's components on the half spectrum, stacked as
+    (N, *half_shape)."""
+    comps, _ = multiplier_table(grid, sigma)
+    half = np.stack([m[..., :grid.resolution // 2 + 1] for m in comps])
+    half.flags.writeable = False
+    return half
+
+
+def _forward(values: np.ndarray, dim: int) -> np.ndarray:
+    """Half spectrum over the trailing dim axes."""
+    if dim == 1:
+        return scipy.fft.rfft(values)
+    return scipy.fft.rfftn(values, axes=tuple(range(-dim, 0)))
+
+
+def _inverse(spec: np.ndarray, shape: tuple) -> np.ndarray:
+    """Real array of trailing shape `shape` from its half spectrum."""
+    if len(shape) == 1:
+        return scipy.fft.irfft(spec, n=shape[0])
+    return scipy.fft.irfftn(spec, s=shape, axes=tuple(range(-len(shape), 0)))
+
+
 def apply_symbol(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """Apply the Fourier multiplier `mult` to a real grid array."""
-    return np.fft.ifftn(mult * np.fft.fftn(values)).real
+    """Apply the Fourier multiplier `mult` to a real grid array.
+
+    `mult` is a full-spectrum table on the grid and must be Hermitian,
+    mult(-k) = conj(mult(k)), as every real even symbol is: only its half
+    spectrum is read.
+    """
+    half = mult[..., :mult.shape[-1] // 2 + 1]
+    return _inverse(half * _forward(values, mult.ndim), mult.shape)
 
 
 def grad_arrays(values: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
     """Fractional gradient of a grid array, stacked as (N, *grid.shape)."""
-    comps, _ = multiplier_table(grid, sigma)
-    vhat = np.fft.fftn(values)
-    return np.stack([np.fft.ifftn(m * vhat).real for m in comps])
+    spec = _half_table(grid, sigma) * _forward(values, grid.dim)
+    return _inverse(spec, grid.shape)
 
 
 def neg_div_arrays(w: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
     """Negative fractional divergence of a stacked (N, *grid.shape) array,
     the adjoint of grad_arrays."""
-    comps, _ = multiplier_table(grid, sigma)
-    acc = np.zeros(grid.shape, dtype=complex)
-    for m, c in zip(comps, w):
-        acc += m * np.fft.fftn(c)
-    return -np.fft.ifftn(acc).real
+    spec = np.sum(_half_table(grid, sigma) * _forward(w, grid.dim), axis=0)
+    return -_inverse(spec, grid.shape)
 
 
 def riesz_potential(u: ScalarField, alpha: float) -> ScalarField:

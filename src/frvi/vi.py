@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, bicgstab, cg
@@ -41,12 +42,15 @@ EPS_FLOOR = 0.038
 
 
 class SolverDivergence(RuntimeError):
-    """Inner solver failed; carries the last iterate and residual history."""
+    """Inner solver failed; carries the last iterate, the residual history
+    (one entry per Newton step) and the number of Krylov solves of the
+    failed eps step that ended without converging."""
 
-    def __init__(self, message, iterate=None, history=None):
+    def __init__(self, message, iterate=None, history=None, krylov_nonconverged=0):
         super().__init__(message)
         self.iterate = iterate
         self.history = list(history or [])
+        self.krylov_nonconverged = krylov_nonconverged
 
 
 @dataclass(frozen=True)
@@ -96,11 +100,28 @@ class EllipticCoefficients:
     def is_scalar(self) -> bool:
         return self._scalar
 
-    @property
+    @cached_property
     def is_symmetric(self) -> bool:
         if self._scalar:
             return True
         return bool(np.array_equal(self.values, np.swapaxes(self.values, -1, -2)))
+
+    @cached_property
+    def applied(self) -> "EllipticCoefficients":
+        """The coefficient the penalized operator -div^sigma[A D^sigma .] is
+        built from: A itself, or its symmetric part (A + A^T)/2 when the
+        skew part A - A^T is the same at every node.  A constant skew part S
+        drops out of the operator exactly, since sum_ij m_i S_ij m_j = 0 for
+        the symbols m of D^sigma, so both give one operator and the
+        symmetric one admits CG."""
+        if self.is_symmetric:
+            return self
+        at = np.swapaxes(self.values, -1, -2)
+        skew = (self.values - at).reshape(-1, self.grid.dim, self.grid.dim)
+        if not np.array_equal(skew, np.broadcast_to(skew[0], skew.shape)):
+            return self
+        return EllipticCoefficients(self.grid, 0.5 * (self.values + at),
+                                    a_star=self.a_star, a_upper=self.a_upper)
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         """Apply A(x) nodewise to a stacked vector field (N, *grid.shape)."""
@@ -258,10 +279,11 @@ def penalized_residual(u: ScalarField, data: ProblemData, eps: float) -> ScalarF
 
 class _PenalizedSystem:
     """Matrix-free residual/Jacobian of the penalized problem restricted to
-    the inside nodes."""
+    the inside nodes, built on the applied coefficient data.A.applied."""
 
     def __init__(self, data: ProblemData, eps: float):
         self.data = data
+        self.A = data.A.applied
         self.eps = eps
         self.grid = data.grid
         self.inside = data.mask.inside
@@ -278,9 +300,12 @@ class _PenalizedSystem:
         return full[self.inside]
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        w = grad_arrays(self.unpack(x), self.grid, self.data.sigma)
+        return self.residual_of_grad(grad_arrays(self.unpack(x), self.grid, self.data.sigma))
+
+    def residual_of_grad(self, w: np.ndarray) -> np.ndarray:
+        """Residual of the iterate whose fractional gradient is w."""
         k = penalty_value(magnitude(w) - self.g, self.eps)
-        flux = k[None, ...] * w + self.data.A.apply(w)
+        flux = k[None, ...] * w + self.A.apply(w)
         r = neg_div_arrays(flux, self.grid, self.data.sigma)
         return self.pack(r) - self.f_inside
 
@@ -288,7 +313,7 @@ class _PenalizedSystem:
         """Linear operator with frozen penalty coefficient (Picard step)."""
         def mv(x):
             w = grad_arrays(self.unpack(x), self.grid, self.data.sigma)
-            flux = k[None, ...] * w + self.data.A.apply(w)
+            flux = k[None, ...] * w + self.A.apply(w)
             return self.pack(neg_div_arrays(flux, self.grid, self.data.sigma))
         return mv
 
@@ -305,7 +330,7 @@ class _PenalizedSystem:
         def mv(v):
             dw = grad_arrays(self.unpack(v), self.grid, self.data.sigma)
             radial = coef * np.sum(w * dw, axis=0)
-            flux = k[None, ...] * dw + radial[None, ...] * w + self.data.A.apply(dw)
+            flux = k[None, ...] * dw + radial[None, ...] * w + self.A.apply(dw)
             return self.pack(neg_div_arrays(flux, self.grid, self.data.sigma))
         return mv, k
 
@@ -320,13 +345,14 @@ class _PenalizedSystem:
             return self.pack(apply_symbol(self.unpack(x), mult))
         return mv
 
-    def solve_linear(self, matvec, rhs: np.ndarray, precond, rtol: float) -> np.ndarray:
+    def solve_linear(self, matvec, rhs: np.ndarray, precond, rtol: float) -> tuple:
+        """Krylov solve; returns the iterate and the solver's info flag
+        (0 when converged).  A non-converged iterate is still returned: the
+        line search judges it, and the caller counts it."""
         op = LinearOperator((self.m, self.m), matvec=matvec)
         pre = LinearOperator((self.m, self.m), matvec=precond)
-        solver = cg if self.data.A.is_symmetric else bicgstab
-        x, info = solver(op, rhs, rtol=rtol, atol=0.0, maxiter=400, M=pre)
-        # best-effort iterate on non-convergence; the line search judges it
-        return x
+        solver = cg if self.A.is_symmetric else bicgstab
+        return solver(op, rhs, rtol=rtol, atol=0.0, maxiter=400, M=pre)
 
 
 def solve_penalized(data: ProblemData, eps: float, init: ScalarField,
@@ -350,6 +376,7 @@ def _solve_penalized_impl(data: ProblemData, eps: float, init: ScalarField,
     f_scale = 1.0 + float(np.abs(data.f.values).max())
     tol = cfg.newton_tol * f_scale
     history = []
+    nonconverged = 0  # Krylov solves of this eps step that did not converge
     r = sys.residual(x)
     for it in range(cfg.newton_max):
         res_sup = float(np.abs(r).max())
@@ -358,7 +385,8 @@ def _solve_penalized_impl(data: ProblemData, eps: float, init: ScalarField,
             return ScalarField(data.grid, sys.unpack(x)), it
         matvec, k = sys.jacobian_matvec(x)
         precond = sys.preconditioner(float(k.mean()))
-        d = sys.solve_linear(matvec, -r, precond, rtol=1e-10)
+        d, info = sys.solve_linear(matvec, -r, precond, rtol=1e-10)
+        nonconverged += info != 0
         merit0 = float(r @ r)
         step = cfg.damping
         accepted = False
@@ -374,7 +402,8 @@ def _solve_penalized_impl(data: ProblemData, eps: float, init: ScalarField,
             continue
         # Picard fallback: frozen-coefficient solve, small safe steps
         frozen = sys.frozen_matvec(k)
-        x_lin = sys.solve_linear(frozen, sys.f_inside, precond, rtol=1e-10)
+        x_lin, info = sys.solve_linear(frozen, sys.f_inside, precond, rtol=1e-10)
+        nonconverged += info != 0
         step = 0.5
         for _ in range(30):
             x_try = x + step * (x_lin - x)
@@ -386,11 +415,15 @@ def _solve_penalized_impl(data: ProblemData, eps: float, init: ScalarField,
             step *= 0.5
         if not accepted:
             raise SolverDivergence(
-                f"no descent at eps={eps:.4g} (residual {res_sup:.3e})",
-                iterate=ScalarField(data.grid, sys.unpack(x)), history=history)
+                f"no descent at eps={eps:.4g} (residual {res_sup:.3e}, "
+                f"{nonconverged} Krylov solves not converged)",
+                iterate=ScalarField(data.grid, sys.unpack(x)), history=history,
+                krylov_nonconverged=nonconverged)
     raise SolverDivergence(
-        f"newton_max={cfg.newton_max} exceeded at eps={eps:.4g}",
-        iterate=ScalarField(data.grid, sys.unpack(x)), history=history)
+        f"newton_max={cfg.newton_max} exceeded at eps={eps:.4g} "
+        f"({nonconverged} Krylov solves not converged)",
+        iterate=ScalarField(data.grid, sys.unpack(x)), history=history,
+        krylov_nonconverged=nonconverged)
 
 
 def extract_multiplier(u_eps: ScalarField, data: ProblemData, eps: float) -> ScalarField:
@@ -411,7 +444,11 @@ def energy(u: ScalarField, data: ProblemData) -> float:
     """Quadratic energy 1/2 <A D^sigma u, D^sigma u> - <f, u>; symmetric A only."""
     if not data.A.is_symmetric:
         raise ValueError("energy requires symmetric coefficients")
-    w = grad_arrays(u.values, data.grid, data.sigma)
+    return _energy_of_grad(u, grad_arrays(u.values, data.grid, data.sigma), data)
+
+
+def _energy_of_grad(u: ScalarField, w: np.ndarray, data: ProblemData) -> float:
+    """energy(u, data) given w = D^sigma u."""
     hN = data.grid.cell_volume
     quad = 0.5 * hN * float(np.sum(data.A.apply(w) * w))
     return quad - inner(data.f, u)
@@ -457,12 +494,18 @@ def sample_feasible(data: ProblemData, rng: np.random.Generator,
 
 
 def shrink_to_feasible(u: ScalarField, data: ProblemData) -> ScalarField:
-    """Post-hoc strictly feasible output: u scaled by nu/(nu+eta)."""
+    """Post-hoc strictly feasible output: u scaled by nu/(nu+eta), then by
+    further factors 1 - 4 machine eps while round-off in the recomputed
+    gradient still leaves an excess above g."""
     eta = feasibility_violation(u, data)
     if eta == 0.0:
         return u
     factor = data.g.nu / (data.g.nu + eta)
-    return ScalarField(u.grid, factor * u.values)
+    while True:
+        shrunk = ScalarField(u.grid, factor * u.values)
+        if feasibility_violation(shrunk, data) == 0.0:
+            return shrunk
+        factor *= 1.0 - 4.0 * np.finfo(float).eps
 
 
 def vi_residual(u: ScalarField, data: ProblemData, trials: int = 64,
@@ -487,7 +530,9 @@ def vi_residual(u: ScalarField, data: ProblemData, trials: int = 64,
 
 
 def _trace_row(data: ProblemData, u: ScalarField, eps: float,
-               iters: int) -> PenaltyTraceRow:
+               iters: int) -> tuple:
+    """Trace row of the eps step's iterate u, and its penalty coefficient
+    (the multiplier density at eps), from one gradient of u."""
     grid = data.grid
     w = grad_arrays(u.values, grid, data.sigma)
     mag = magnitude(w)
@@ -496,12 +541,12 @@ def _trace_row(data: ProblemData, u: ScalarField, eps: float,
     hN = grid.cell_volume
     sqrt_eps = math.sqrt(eps)
     comp = abs(hN * float(np.sum(k * excess)))
-    res = penalized_residual(u, data, eps)
-    en = energy(u, data) if data.A.is_symmetric else None
+    res = _PenalizedSystem(data, eps).residual_of_grad(w)
+    en = _energy_of_grad(u, w, data) if data.A.is_symmetric else None
     return PenaltyTraceRow(
         eps=eps,
         newton_iters=iters,
-        residual=float(np.abs(res.values).max()),
+        residual=float(np.abs(res).max()),
         feas_violation=float(max(excess.max(), 0.0)),
         comp_gap=comp,
         norm_dsu_l2=float(np.sqrt(hN * np.sum(mag**2))),
@@ -512,7 +557,7 @@ def _trace_row(data: ProblemData, u: ScalarField, eps: float,
         measure_v=hN * float(np.sum((excess > sqrt_eps) & (excess <= 1.0 / eps))),
         measure_w=hN * float(np.sum(excess > 1.0 / eps)),
         excess_integral=hN * float(np.sum(np.maximum(excess, 0.0))),
-    )
+    ), k
 
 
 def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
@@ -539,14 +584,15 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
     for eps in cfg.schedule():
         u, iters = _solve_penalized_impl(data, eps, u, cfg)
         eps_final = eps
-        trace.append(_trace_row(data, u, eps, iters))
+        row, k = _trace_row(data, u, eps, iters)
+        trace.append(row)
         if prev is not None:
             delta = hsigma_norm(
                 ScalarField(grid, u.values - prev.values), data.sigma)
             if delta < cfg.newton_tol:
                 break
         prev = u
-    lam = extract_multiplier(u, data, eps_final)
+    lam = ScalarField(grid, k)  # the last row's k: extract_multiplier(u, data, eps_final)
     last = trace[-1]
     viol, en = last.feas_violation, last.energy
     if shrink:

@@ -35,25 +35,39 @@ def test_manifest_lists_all_artifacts(tmp_path):
     assert listed == on_disk
 
 
-@pytest.mark.parametrize("line, bad_line, reason", [
+@pytest.mark.parametrize("line, bad_line, reason, subcommand", [
     pytest.param("nu = 150.0", "nu = -1.0", "threshold lower bound violated",
-                 id="nu-negative"),
+                 "solve-vi", id="nu-negative"),
     pytest.param("f = constant:100.0", "f = constant", "IndexError",
-                 id="f-without-value"),
+                 "solve-vi", id="f-without-value"),
     pytest.param("g = constant:150.0", "g = constant:abc", "ValueError",
-                 id="g-not-a-number"),
+                 "solve-vi", id="g-not-a-number"),
     pytest.param("sigma = 0.5", "sigma = 1.5", "sigma must lie in (0, 1]",
-                 id="sigma-above-one"),
+                 "solve-vi", id="sigma-above-one"),
     pytest.param("ratio = 0.6", "ratio = 2", "ratio must lie in (0, 1)",
-                 id="ratio-above-one"),
+                 "solve-vi", id="ratio-above-one"),
+    pytest.param("deltas = 0.1,-0.05,0.02", "deltas = 0.1,abc",
+                 "[study-lipschitz] deltas", "study-lipschitz", id="deltas-not-a-number"),
+    pytest.param("t_values = 0.4,0.2,0.1,0.05", "t_values = 0.4,-0.2",
+                 "[study-holder] t_values", "study-holder", id="t-values-negative"),
+    pytest.param("h = constant:30.0", "h = constant", "IndexError",
+                 "study-holder", id="h-without-value"),
+    pytest.param("sigmas = 0.5,0.9,0.99", "sigmas = 0.5,x",
+                 "[study-sigma-limit] sigmas", "study-sigma-limit", id="sigmas-not-a-number"),
+    pytest.param("sigmas = 0.5,0.9,0.99", "sigmas = 0.5,1.5",
+                 "sigma must lie in (0, 1]", "study-sigma-limit", id="sigmas-above-one"),
+    pytest.param("factors = 2,4,8,16", "factors = 2,0",
+                 "[study-mosco] factors", "study-mosco", id="factors-zero"),
+    pytest.param("factors = 2,4,8,16", "factors = 2,4.5",
+                 "[study-mosco] factors", "study-mosco", id="factors-not-an-integer"),
 ])
-def test_invalid_nu_exits_config_error(tmp_path, line, bad_line, reason):
+def test_invalid_nu_exits_config_error(tmp_path, line, bad_line, reason, subcommand):
     text = BINDING.read_text()
     assert text.count(line) == 1
     bad = tmp_path / "bad.cfg"
     bad.write_text(text.replace(line, bad_line))
     out = tmp_path / "out"
-    assert run(str(bad), "solve-vi", out_dir=str(out)) == EXIT_CONFIG
+    assert run(str(bad), subcommand, out_dir=str(out)) == EXIT_CONFIG
     reasons = [json.loads(line) for line in
                (out / "run.log").read_text().splitlines()]
     errors = [r for r in reasons if r["event"] == "error"]

@@ -6,11 +6,14 @@ import pytest
 from frvi.fields import ScalarField, VectorField, inner, lp_norm, make_grid, mask_box
 from frvi.fracgrad import (
     FracOrder,
+    apply_symbol,
     frac_divergence,
     frac_gradient,
     frac_laplacian,
+    grad_arrays,
     hsigma_norm,
     multiplier_table,
+    neg_div_arrays,
     quadrature_frac_gradient,
     random_band_limited,
     riesz_constant,
@@ -180,6 +183,30 @@ def test_multiplier_conjugate_symmetry():
     n = g.resolution
     for k in range(1, n // 2):
         assert m[n - k] == np.conj(m[k])
+
+
+def _complex_reference(values, mult):
+    return np.fft.ifftn(mult * np.fft.fftn(values)).real
+
+
+def _rel_err(got, ref):
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+@pytest.mark.parametrize("dim, n", [(1, 128), (2, 64), (3, 16)])
+def test_real_kernel_matches_complex_transforms(dim, n):
+    rng = np.random.default_rng(dim)
+    g = make_grid(dim, 2.0, n)
+    sigma = 0.4
+    comps, mag_sigma = multiplier_table(g, sigma)
+    v = rng.normal(size=g.shape)
+    w = rng.normal(size=(dim,) + g.shape)
+    grad_ref = np.stack([_complex_reference(v, m) for m in comps])
+    assert _rel_err(grad_arrays(v, g, sigma), grad_ref) <= 1e-13
+    div_ref = -np.fft.ifftn(sum(m * np.fft.fftn(c) for m, c in zip(comps, w))).real
+    assert _rel_err(neg_div_arrays(w, g, sigma), div_ref) <= 1e-13
+    for mult in (mag_sigma, mag_sigma**2):
+        assert _rel_err(apply_symbol(v, mult), _complex_reference(v, mult)) <= 1e-13
 
 
 def test_sigma_to_one_limit():

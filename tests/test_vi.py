@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import frvi.vi
 from frvi.fields import (
     ScalarField,
     full_torus,
@@ -13,7 +14,7 @@ from frvi.fields import (
     zero_field,
 )
 from frvi.fracgrad import frac_gradient, frac_laplacian, hsigma_norm
-from frvi.instances import VI_CFG, inactive_1d, small_binding_1d
+from frvi.instances import VI_CFG, inactive_1d, nonsymmetric_2d, small_binding_1d
 from frvi.vi import (
     EPS_FLOOR,
     EllipticCoefficients,
@@ -122,6 +123,68 @@ def test_coefficients_matrix_spot_check():
     bad[..., 0, 0] = -1.0
     with pytest.raises(ValueError, match="ellipticity"):
         EllipticCoefficients(g, bad, a_star=1.0, a_upper=1.0)
+
+
+def _skew_coefficients(grid, skew):
+    vals = np.zeros(grid.shape + (2, 2))
+    vals[..., 0, 0] = 1.0
+    vals[..., 1, 1] = 1.0
+    vals[..., 0, 1] = skew
+    vals[..., 1, 0] = -skew
+    return EllipticCoefficients(grid, vals, a_star=1.0, a_upper=1.4)
+
+
+def test_applied_coefficient_drops_constant_skew_only():
+    g = make_grid(2, 2.0, 8)
+    const = _skew_coefficients(g, 0.3)
+    assert not const.is_symmetric
+    assert const.applied.is_symmetric
+    assert np.array_equal(const.applied.values[..., 0, 1], np.zeros(g.shape))
+    x0 = g.coordinates()[0]
+    varying = _skew_coefficients(g, 0.3 * np.cos(0.5 * np.pi * x0))
+    assert varying.applied is varying
+    sym = identity_coefficients(g)
+    assert sym.applied is sym
+
+
+def _count_krylov(monkeypatch):
+    calls = {"cg": 0, "bicgstab": 0}
+    for name in calls:
+        solver = getattr(frvi.vi, name)
+
+        def counted(*args, _solver=solver, _name=name, **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+        monkeypatch.setattr(frvi.vi, name, counted)
+    return calls
+
+
+def test_nonsymmetric_2d_runs_cg_only(monkeypatch):
+    calls = _count_krylov(monkeypatch)
+    solve_vi(nonsymmetric_2d(), VI_CFG, diag_trials=0)
+    assert calls["bicgstab"] == 0
+    assert calls["cg"] > 0
+
+
+def test_variable_skew_runs_bicgstab_within_acceptance_bounds(monkeypatch):
+    grid = make_grid(2, 2.0, 32)
+    mask = mask_box(grid, 1.0)
+    skew = 0.3 * np.cos(0.5 * np.pi * grid.coordinates()[0])
+    f = ScalarField(grid, np.where(mask.inside, 200.0, 0.0))
+    data = ProblemData(mask, 0.4, _skew_coefficients(grid, skew), f,
+                       Threshold(scalar_field(grid, 187.0), 187.0))
+    calls = _count_krylov(monkeypatch)
+    sol = solve_vi(data, VI_CFG)
+    assert calls["bicgstab"] > 0
+    assert calls["cg"] == 0
+    # the bounds of acceptance criteria 06 and 07
+    assert sol.energy is None
+    assert sol.feas_violation <= 1e-3 * data.g.nu
+    assert sol.multiplier.values.min() >= 0.0
+    assert sol.comp_gap <= 1e-3 * lp_norm(sol.multiplier, 1) * 187.0
+    assert sol.vi_res >= -1e-6 * (1.0 + hsigma_norm(sol.u, data.sigma) ** 2)
+    bound = 10.0 * VI_CFG.newton_tol * (1.0 + float(np.abs(data.f.values).max()))
+    assert multiplier_equation_residual(sol, data) <= bound
 
 
 def test_penalty_config_floor_enforced():
@@ -241,6 +304,19 @@ def test_solve_penalized_divergence_carries_history():
         solve_penalized(data, 0.04, zero_field(data.grid), cfg)
     assert err.value.iterate is not None
     assert len(err.value.history) >= 1
+
+
+def test_divergence_counts_nonconverged_krylov_solves(monkeypatch):
+    def never_converges(*args, **kwargs):
+        return np.zeros_like(args[1]), 1
+    monkeypatch.setattr(frvi.vi, "cg", never_converges)
+    data = small_binding_1d()
+    cfg = PenaltyConfig(newton_tol=1e-13, newton_max=1)
+    with pytest.raises(SolverDivergence) as err:
+        solve_penalized(data, 0.04, zero_field(data.grid), cfg)
+    # one Newton direction and one Picard fallback solve, neither converged
+    assert err.value.krylov_nonconverged == 2
+    assert "2 Krylov solves not converged" in str(err.value)
 
 
 # -- continuation solve ---------------------------------------------------------
