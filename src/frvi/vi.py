@@ -371,10 +371,13 @@ def solve_penalized(data: ProblemData, eps: float, init: ScalarField,
     r: by convexity phi(x + t d) <= phi(x) + t d.r(x + t d), so
     d.r(x + t d) <= 1e-4 d.r(x) < 0 gives sufficient decrease of phi.  A
     space-dependent skew part makes r no gradient and keeps the residual
-    test only.  Falls back to frozen-coefficient (Picard) steps when
-    backtracking stalls.  Converges to sup-norm residual on Omega below
-    newton_tol * (1 + sup|f|), judged on the true residual, so the inexact
-    directions do not weaken the stopping test.
+    test only.  The residual test stays for symmetric coefficients too:
+    the energy test rejects a step that reaches the minimum of phi along
+    d, which is where a full Newton step lands near the solution.  Falls
+    back to frozen-coefficient (Picard) steps when backtracking stalls.
+    Converges to sup-norm residual on Omega below newton_tol * (1 +
+    sup|f|), judged on the true residual, so the inexact directions do not
+    weaken the stopping test.
     """
     u, _ = _solve_penalized_impl(data, eps, init, cfg)
     return u
