@@ -454,7 +454,11 @@ def extract_multiplier(u_eps: ScalarField, data: ProblemData, eps: float) -> Sca
 
 def feasibility_violation(u: ScalarField, data: ProblemData) -> float:
     """Sup over the whole torus of (|D^sigma u| - g)^+."""
-    w = grad_arrays(u.values, data.grid, data.sigma)
+    return _violation_of_grad(grad_arrays(u.values, data.grid, data.sigma), data)
+
+
+def _violation_of_grad(w: np.ndarray, data: ProblemData) -> float:
+    """feasibility_violation(u, data) given w = D^sigma u."""
     excess = magnitude(w) - data.g.g.values
     return float(max(excess.max(), 0.0))
 
@@ -516,14 +520,24 @@ def shrink_to_feasible(u: ScalarField, data: ProblemData) -> ScalarField:
     """Post-hoc strictly feasible output: u scaled by nu/(nu+eta), then by
     further factors 1 - 4 machine eps while round-off in the recomputed
     gradient still leaves an excess above g."""
-    eta = feasibility_violation(u, data)
+    return _shrink_with_grad(u, data)[0]
+
+
+def _shrink_with_grad(u: ScalarField, data: ProblemData,
+                      w: np.ndarray | None = None) -> tuple:
+    """shrink_to_feasible(u, data) and D^sigma of the field it returns, the
+    gradient it last checked; w, when given, is D^sigma u."""
+    if w is None:
+        w = grad_arrays(u.values, data.grid, data.sigma)
+    eta = _violation_of_grad(w, data)
     if eta == 0.0:
-        return u
+        return u, w
     factor = data.g.nu / (data.g.nu + eta)
     while True:
         shrunk = ScalarField(u.grid, factor * u.values)
-        if feasibility_violation(shrunk, data) == 0.0:
-            return shrunk
+        w = grad_arrays(shrunk.values, data.grid, data.sigma)
+        if _violation_of_grad(w, data) == 0.0:
+            return shrunk, w
         factor *= 1.0 - 4.0 * np.finfo(float).eps
 
 
@@ -542,7 +556,7 @@ def vi_residual(u: ScalarField, data: ProblemData, trials: int = 64,
         return hN * float(np.sum(Aw * dv)) - hN * float(
             np.dot(data.f.values.ravel(), (v_vals - u.values).ravel()))
 
-    candidates = [np.zeros(grid.shape), shrink_to_feasible(u, data).values]
+    candidates = [np.zeros(grid.shape), _shrink_with_grad(u, data, w)[0].values]
     for _ in range(trials):
         candidates.append(sample_feasible(data, rng).values)
     return min(functional(v) for v in candidates)
@@ -615,9 +629,9 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
     last = trace[-1]
     viol, en = last.feas_violation, last.energy
     if shrink:
-        u = shrink_to_feasible(u, data)
+        u, w = _shrink_with_grad(u, data)
         viol = 0.0  # shrink_to_feasible returns only once this is exactly 0
-        en = energy(u, data) if data.A.is_symmetric else None
+        en = _energy_of_grad(u, w, data) if data.A.is_symmetric else None
     return VISolution(
         u=u,
         multiplier=lam,

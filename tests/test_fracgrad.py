@@ -209,6 +209,20 @@ def test_real_kernel_matches_complex_transforms(dim, n):
         assert _rel_err(apply_symbol(v, mult), _complex_reference(v, mult)) <= 1e-13
 
 
+@pytest.mark.parametrize("dim, n", [(1, 128), (2, 64), (3, 16)])
+def test_batch_axes_match_row_by_row_calls(dim, n):
+    rng = np.random.default_rng(10 + dim)
+    g = make_grid(dim, 2.0, n)
+    sigma = 0.4
+    v = rng.normal(size=(5,) + g.shape)
+    w = grad_arrays(v, g, sigma)
+    assert w.shape == (5, dim) + g.shape
+    assert w.tobytes() == np.stack([grad_arrays(r, g, sigma) for r in v]).tobytes()
+    d = neg_div_arrays(w, g, sigma)
+    assert d.shape == v.shape
+    assert d.tobytes() == np.stack([neg_div_arrays(r, g, sigma) for r in w]).tobytes()
+
+
 def test_sigma_to_one_limit():
     rng = np.random.default_rng(5)
     g = make_grid(1, math.pi, 128)

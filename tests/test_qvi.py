@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from frvi.fields import ScalarField, lp_norm, make_grid, mask_box, scalar_field, zero_field
-from frvi.fracgrad import hsigma_norm
+from frvi.fracgrad import grad_arrays, hsigma_norm, neg_div_arrays
 from frvi.instances import (
     QVI_INNER_CFG,
     QVI_OUTER_TOL,
@@ -25,6 +26,7 @@ from frvi.qvi import (
     SuperpositionOperator,
     ThresholdOperator,
     contraction_certificate,
+    estimate_poincare_constant,
     estimate_sobolev_constant,
     sobolev_exponents,
     solve_qvi,
@@ -69,6 +71,122 @@ def test_constant_estimate_grid_refinement_stable():
         vals[n] = estimate_sobolev_constant(g, m, sigma, restarts=12,
                                             iters=60).value
     assert abs(vals[128] - vals[64]) <= 0.10 * max(vals.values())
+
+
+def _sequential_ascent(grid, mask, sigma, p, restarts, iters, seed):
+    """Reference: the restarts of the quotient ascent run one after another
+    on 1-D field arrays, as before they were stacked."""
+    rng = np.random.default_rng(seed)
+    inside = mask.inside
+    hN = grid.cell_volume
+
+    def quotient(vals):
+        u = ScalarField(grid, vals)
+        num = lp_norm(u, p, mask)
+        den = hsigma_norm(u, sigma)
+        return num / den if den > 0 else 0.0
+
+    def grad_num(vals):
+        v = np.where(inside, vals, 0.0)
+        if math.isinf(p):
+            out = np.zeros(grid.shape)
+            idx = np.unravel_index(np.argmax(np.abs(v)), grid.shape)
+            out[idx] = np.sign(v[idx])
+            return out
+        norm = lp_norm(ScalarField(grid, v), p, mask)
+        if norm == 0.0:
+            return np.zeros(grid.shape)
+        return hN * np.abs(v) ** (p - 1.0) * np.sign(v) / norm ** (p - 1.0)
+
+    def grad_den_sq(vals):
+        w = grad_arrays(vals, grid, sigma)
+        return 2.0 * np.where(inside, neg_div_arrays(w, grid, sigma), 0.0)
+
+    best = 0.0
+    best_final_gain = 0.0
+    per_restart = []
+    for _ in range(restarts):
+        vals = np.where(inside, rng.normal(size=grid.shape), 0.0)
+        den = hsigma_norm(ScalarField(grid, vals), sigma)
+        if den == 0.0:
+            continue
+        vals = vals / den
+        q = quotient(vals)
+        step = 0.5
+        last_gain = 0.0
+        for _ in range(iters):
+            g_num = grad_num(vals)
+            g_den = grad_den_sq(vals)
+            num = lp_norm(ScalarField(grid, vals), p, mask)
+            direction = g_num / max(num, 1e-300) - 0.5 * g_den
+            direction = np.where(inside, direction, 0.0)
+            improved = False
+            for _ in range(20):
+                trial = vals + step * direction
+                den = hsigma_norm(ScalarField(grid, trial), sigma)
+                if den > 0:
+                    trial = trial / den
+                    q_try = quotient(trial)
+                    if q_try > q:
+                        last_gain = q_try - q
+                        vals, q = trial, q_try
+                        step *= 1.5
+                        improved = True
+                        break
+                step *= 0.5
+            if not improved:
+                last_gain = 0.0
+                break
+        per_restart.append(q)
+        if q > best:
+            best, best_final_gain = q, last_gain
+    converged = best_final_gain <= 1e-3 * max(best, 1e-300)
+    return best, converged, per_restart
+
+
+@pytest.mark.parametrize("dim, sigma, poincare, restarts, iters", [
+    (1, 0.5, False, 50, 60),   # Sobolev defaults, 2* = 8
+    (1, 0.5, True, 20, 60),    # Poincare defaults, p = 2
+    (1, 0.75, False, 50, 60),  # p = inf, the subgradient branch
+    (2, 0.4, False, 4, 20),    # 64^2, 2* = 10/3
+])
+def test_stacked_ascent_matches_sequential_restarts(dim, sigma, poincare,
+                                                    restarts, iters):
+    if dim == 1:
+        base = binding_1d()
+        grid, mask = base.grid, base.mask
+    else:
+        grid = make_grid(2, 2.0, 64)
+        mask = mask_box(grid, 1.0)
+    if poincare:
+        p, seed = 2.0, 202
+        est = estimate_poincare_constant(grid, mask, sigma, restarts=restarts,
+                                         iters=iters, seed=seed)
+    else:
+        p, seed = sobolev_exponents(dim, sigma)[0], 101
+        est = estimate_sobolev_constant(grid, mask, sigma, restarts=restarts,
+                                        iters=iters, seed=seed)
+    value, converged, per_restart = _sequential_ascent(
+        grid, mask, sigma, p, restarts, iters, seed)
+    assert est.value == value
+    assert est.converged == converged
+    assert est.restarts == per_restart
+
+
+def test_sobolev_estimate_stacks_its_transforms(monkeypatch):
+    # one transform call per stacked array of restarts: about 2.1k calls,
+    # where restarts run one after another take about 25k
+    calls = []
+    for name in ("rfft", "irfft", "rfftn", "irfftn"):
+        fn = getattr(scipy.fft, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append(_fn.__name__)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, counted)
+    base = binding_1d()
+    estimate_sobolev_constant(base.grid, base.mask, base.sigma)
+    assert 0 < len(calls) <= 3000
 
 
 def test_separated_with_constant_gamma_is_static():

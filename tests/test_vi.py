@@ -336,6 +336,15 @@ def test_solve_vi_shrink_flag_gives_strict_feasibility():
     assert np.allclose(sol.u.values, factor * ref.u.values, rtol=1e-12)
 
 
+def test_shrunk_solution_reports_energy_and_residual_of_returned_field():
+    # energy and vi_res of the shrunk field come from gradients formed while
+    # shrinking; they equal a fresh evaluation of the returned field exactly
+    for data in (small_binding_1d(), inactive_1d()):
+        sol = solve_vi(data, VI_CFG, shrink=True)
+        assert sol.energy == energy(sol.u, data)
+        assert sol.vi_res == vi_residual(sol.u, data, trials=32, seed=0)
+
+
 def test_solve_penalized_divergence_carries_history():
     data = small_binding_1d()
     cfg = PenaltyConfig(newton_tol=1e-13, newton_max=1)
