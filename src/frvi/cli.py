@@ -157,16 +157,24 @@ def _nonnegative_float(raw: str) -> float:
 
 
 def _built_from_config(build):
-    """Report a ValueError or IndexError raised while `build` turns config
-    values into objects as a ConfigError."""
+    """Report a ValueError, IndexError or OSError (an unreadable input file)
+    raised while `build` turns config values into objects as a ConfigError."""
     def wrapper(*args):
         try:
             return build(*args)
         except ConfigError:
             raise
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, OSError) as exc:
             raise ConfigError(f"bad config value ({type(exc).__name__}: {exc})") from exc
     return wrapper
+
+
+def _scalar_file(path: Path, grid, what: str) -> ScalarField:
+    """The scalar field stored in an FVF file, which must live on grid."""
+    f = read_fvf(path)
+    if not isinstance(f, ScalarField) or f.grid != grid:
+        raise ConfigError(f"{what} file {path.name} does not match the grid")
+    return f
 
 
 @_built_from_config
@@ -183,10 +191,7 @@ def _field_from_spec(spec: str, grid, mask, base_dir: Path) -> np.ndarray:
         vals = amp * np.sin(k * np.pi / grid.extent * x0)
         return np.where(mask.inside, vals, 0.0)
     if kind == "file":
-        f = read_fvf(base_dir / parts[1])
-        if not isinstance(f, ScalarField) or f.grid != grid:
-            raise ConfigError(f"field file {parts[1]} does not match the grid")
-        return f.values
+        return _scalar_file(base_dir / parts[1], grid, "field").values
     raise ConfigError(f"unknown field spec {spec!r}")
 
 
@@ -195,10 +200,7 @@ def _threshold_from_spec(spec: str, grid, nu: float, base_dir: Path) -> Threshol
     if parts[0] == "constant":
         return Threshold(scalar_field(grid, float(parts[1])), nu)
     if parts[0] == "file":
-        f = read_fvf(base_dir / parts[1])
-        if not isinstance(f, ScalarField) or f.grid != grid:
-            raise ConfigError(f"threshold file {parts[1]} does not match the grid")
-        return Threshold(f, nu)
+        return Threshold(_scalar_file(base_dir / parts[1], grid, "threshold"), nu)
     raise ConfigError(f"unknown threshold spec {spec!r}")
 
 
@@ -212,7 +214,7 @@ def _coefficients_from_spec(cfg, grid, base_dir: Path) -> EllipticCoefficients:
     a_star = _get(cfg, "problem", "a_star", float)
     a_upper = _get(cfg, "problem", "a_upper", float)
     if parts[0] == "file":
-        f = read_fvf(base_dir / parts[1])
+        f = _scalar_file(base_dir / parts[1], grid, "coefficients")
         return EllipticCoefficients(grid, f.values, a_star=a_star, a_upper=a_upper)
     if parts[0] == "matrix-file":
         raw = np.load(base_dir / parts[1])
@@ -365,6 +367,10 @@ def run(config_path: str, subcommand: str, out_dir: str | None = None,
         log.flush()
         print(f"solver divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except BaseException as exc:
+        log.event("error", kind="internal", reason=f"{type(exc).__name__}: {exc}")
+        log.flush()
+        raise
     log.event("done", status=status)
     log.flush()
     artifacts.append("run.log")

@@ -6,7 +6,7 @@ contraction certificate for the separated-form operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -494,6 +494,11 @@ def solve_qvi(problem: QVIProblem, operator: ThresholdOperator,
               init: ScalarField | None = None) -> QVISolution:
     """Damped Picard iteration u <- (1-d) u + d S(f, G[u]).
 
+    The first inner solve starts cold (from init, or zero) and runs the
+    whole eps schedule of inner_cfg; every later one, warm-started from the
+    previous iterate, is one penalized solve at eps_min.  Only the final
+    solve, returned as `inner`, computes the sampled vi_residual.
+
     Damping is halved after three consecutive non-decreasing fixed-point
     residuals.  On success the returned iterate solves the constrained
     problem for the returned fixed threshold (a final inner solve is run
@@ -503,16 +508,17 @@ def solve_qvi(problem: QVIProblem, operator: ThresholdOperator,
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
     inner_cfg = inner_cfg or PenaltyConfig()
+    warm_cfg = replace(inner_cfg, eps0=inner_cfg.eps_min)
     grid = problem.mask.grid
     u = init if init is not None else ScalarField(grid, np.zeros(grid.shape))
     trace = []
     stall = 0
     prev_res = math.inf
     converged = False
-    sol = None
     for it in range(1, outer_max + 1):
         g_k = operator.apply(u)
-        sol = solve_vi(problem.with_threshold(g_k), inner_cfg, init=u)
+        sol = solve_vi(problem.with_threshold(g_k),
+                       warm_cfg if trace else inner_cfg, init=u, diag_trials=0)
         u_next = ScalarField(grid, (1.0 - damping) * u.values + damping * sol.u.values)
         fp_res = hsigma_norm(
             ScalarField(grid, u_next.values - u.values), problem.sigma)
@@ -535,7 +541,8 @@ def solve_qvi(problem: QVIProblem, operator: ThresholdOperator,
         prev_res = fp_res
     # consistency solve at the converged threshold
     g_fix = operator.apply(u)
-    sol = solve_vi(problem.with_threshold(g_fix), inner_cfg, init=u)
+    sol = solve_vi(problem.with_threshold(g_fix),
+                   warm_cfg if trace else inner_cfg, init=u)
     return QVISolution(
         u=sol.u, g_fixed=g_fix, iterations=len(trace),
         fixed_point_residual=trace[-1].fp_residual if trace else 0.0,

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
+import frvi.cli
 from frvi.cli import EXIT_CONFIG, EXIT_OK, run
-from frvi.fields import read_fvf
+from frvi.fields import make_grid, read_fvf, scalar_field, write_fvf
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 BINDING = CONFIG_DIR / "binding1d.cfg"
@@ -142,3 +143,56 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
     assert "penalty_trace" in res.stdout
+
+
+def _error_events(out):
+    records = [json.loads(line) for line in
+               (out / "run.log").read_text().splitlines()]
+    return [r for r in records if r["event"] == "error"]
+
+
+@pytest.mark.parametrize("extent, reason", [
+    pytest.param(2.0, None, id="matching-grid"),
+    pytest.param(3.0, "coefficients file coef.fvf does not match the grid",
+                 id="same-shape-other-extent"),
+])
+def test_coefficients_file_checks_its_grid(tmp_path, extent, reason):
+    # binding1d's grid is 128 nodes on extent 2.0
+    write_fvf(tmp_path / "coef.fvf", scalar_field(make_grid(1, extent, 128), 1.5))
+    cfg = tmp_path / "coef.cfg"
+    cfg.write_text(BINDING.read_text().replace(
+        "coefficients = identity",
+        "coefficients = file:coef.fvf\na_star = 1.0\na_upper = 2.0"))
+    out = tmp_path / "out"
+    status = run(str(cfg), "solve-vi", out_dir=str(out))
+    if reason is None:
+        assert status == EXIT_OK
+        return
+    assert status == EXIT_CONFIG
+    errors = _error_events(out)
+    assert errors and errors[0]["kind"] == "config"
+    assert reason in errors[0]["reason"]
+
+
+def test_missing_input_file_exits_config_error(tmp_path):
+    cfg = tmp_path / "missing.cfg"
+    cfg.write_text(BINDING.read_text().replace("g = constant:150.0",
+                                               "g = file:absent.fvf"))
+    out = tmp_path / "out"
+    assert run(str(cfg), "solve-vi", out_dir=str(out)) == EXIT_CONFIG
+    errors = _error_events(out)
+    assert errors and errors[0]["kind"] == "config"
+    assert "FileNotFoundError" in errors[0]["reason"]
+
+
+def test_internal_error_is_logged_before_it_propagates(tmp_path, monkeypatch):
+    def broken(*args):
+        raise ZeroDivisionError("injected")
+    monkeypatch.setattr(frvi.cli, "_dispatch", broken)
+    out = tmp_path / "out"
+    with pytest.raises(ZeroDivisionError, match="injected"):
+        run(str(BINDING), "solve-vi", out_dir=str(out))
+    errors = _error_events(out)
+    assert errors == [{"event": "error", "kind": "internal",
+                       "reason": "ZeroDivisionError: injected"}]
+    assert not (out / "manifest.csv").exists()

@@ -31,6 +31,8 @@ from frvi.qvi import (
     sobolev_exponents,
     solve_qvi,
 )
+import frvi.qvi
+import frvi.vi
 from frvi.vi import ProblemData, Threshold, sample_feasible, solve_vi
 
 
@@ -379,3 +381,70 @@ def test_integral_gamma_bounds_hold_on_samples():
             continue
         val = gamma(u)
         assert gamma.floor(radius) <= val <= gamma.ceil(radius)
+
+
+def _full_schedule_picard(problem, operator, cfg, outer_tol, outer_max=40):
+    """Reference: solve_qvi's damped Picard loop with every inner solve run
+    along the whole eps schedule, as before warm solves started at eps_min
+    (the shipped instances never change the damping)."""
+    grid = problem.mask.grid
+    u = ScalarField(grid, np.zeros(grid.shape))
+    iterations = 0
+    for iterations in range(1, outer_max + 1):
+        u_next = solve_vi(problem.with_threshold(operator.apply(u)), cfg, init=u).u
+        fp_res = hsigma_norm(ScalarField(grid, u_next.values - u.values),
+                             problem.sigma)
+        u = u_next
+        if fp_res <= outer_tol * (1.0 + hsigma_norm(u, problem.sigma)):
+            break
+    u = solve_vi(problem.with_threshold(operator.apply(u)), cfg, init=u).u
+    return u, iterations
+
+
+@pytest.mark.parametrize("inst", qvi_instances(), ids=lambda inst: inst.name)
+def test_warm_inner_solves_match_full_schedule_picard(inst):
+    sol = solve_qvi(inst.problem, inst.operator, QVI_INNER_CFG,
+                    outer_tol=QVI_OUTER_TOL)
+    ref_u, ref_iterations = _full_schedule_picard(
+        inst.problem, inst.operator, QVI_INNER_CFG, QVI_OUTER_TOL)
+    assert sol.converged
+    assert sol.iterations == ref_iterations
+    assert all(row.damping == 1.0 for row in sol.trace)
+    gap = hsigma_norm(ScalarField(sol.u.grid, sol.u.values - ref_u.values),
+                      inst.problem.sigma)
+    assert gap <= 1e-8 * hsigma_norm(ref_u, inst.problem.sigma)
+
+
+def test_only_the_first_inner_solve_runs_the_eps_schedule(monkeypatch):
+    calls = []
+
+    def recorded(*args, **kwargs):
+        sol = solve_vi(*args, **kwargs)
+        calls.append((kwargs.get("diag_trials", 32), sol))
+        return sol
+    monkeypatch.setattr(frvi.qvi, "solve_vi", recorded)
+    inst = qvi_kernel_1d()
+    sol = solve_qvi(inst.problem, inst.operator, QVI_INNER_CFG,
+                    outer_tol=QVI_OUTER_TOL)
+    assert len(calls) == sol.iterations + 1 >= 3
+    schedule = QVI_INNER_CFG.schedule()
+    first = [row.eps for row in calls[0][1].trace]
+    assert first == schedule[:len(first)] and len(first) > 1
+    for _, inner in calls[1:]:
+        assert [row.eps for row in inner.trace] == [QVI_INNER_CFG.eps_min]
+    assert calls[-1][1] is sol.inner
+    assert [trials for trials, _ in calls] == [0] * sol.iterations + [32]
+
+
+def test_outer_inner_solves_sample_no_feasible_fields(monkeypatch):
+    count = [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return sample_feasible(*args, **kwargs)
+    monkeypatch.setattr(frvi.vi, "sample_feasible", counted)
+    inst = qvi_superposition_1d()
+    sol = solve_qvi(inst.problem, inst.operator, QVI_INNER_CFG,
+                    outer_tol=QVI_OUTER_TOL)
+    assert sol.iterations >= 2
+    assert count[0] == 32  # the final solve's default diagnostic only

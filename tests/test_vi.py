@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from frvi.fracgrad import (
 )
 from frvi.instances import (
     VI_CFG,
+    binding_1d,
     binding_2d,
     inactive_1d,
     nonsymmetric_2d,
@@ -135,6 +137,36 @@ def test_coefficients_matrix_spot_check():
     bad[..., 0, 0] = -1.0
     with pytest.raises(ValueError, match="ellipticity"):
         EllipticCoefficients(g, bad, a_star=1.0, a_upper=1.0)
+
+
+@pytest.mark.parametrize("diag, a_star, a_upper, match", [
+    # 1 - a_* - 1.0001e-9 along e_3 only: a sampled direction must lie
+    # within 0.01 rad of +-e_3 to see it
+    pytest.param(1.0 - 1.0001e-9, 1.0, 1.0, "lower ellipticity", id="lower"),
+    pytest.param(1.0 + 1.0001e-9, 1.0, 1.0, "upper bound", id="upper"),
+    pytest.param(1.0 - 0.9999e-9, 1.0, 1.0, None, id="lower-within-tolerance"),
+])
+def test_coefficients_matrix_bounds_are_exact(diag, a_star, a_upper, match):
+    g = make_grid(3, 1.0, 8)
+    vals = np.zeros(g.shape + (3, 3))
+    vals[...] = np.eye(3)
+    vals[1, 2, 3, 2, 2] = diag
+    if match is None:
+        EllipticCoefficients(g, vals, a_star=a_star, a_upper=a_upper)
+        return
+    with pytest.raises(ValueError, match=match):
+        EllipticCoefficients(g, vals, a_star=a_star, a_upper=a_upper)
+
+
+def test_coefficients_upper_bound_is_the_matrix_norm():
+    # |A| = sqrt(1 + s^2) for A = [[1, s], [-s, 1]]
+    g = make_grid(2, 1.0, 8)
+    vals = np.zeros(g.shape + (2, 2))
+    vals[..., 0, 0] = vals[..., 1, 1] = 1.0
+    vals[..., 0, 1], vals[..., 1, 0] = 0.3, -0.3
+    EllipticCoefficients(g, vals, a_star=1.0, a_upper=math.sqrt(1.09))
+    with pytest.raises(ValueError, match="upper bound"):
+        EllipticCoefficients(g, vals, a_star=1.0, a_upper=math.sqrt(1.09) - 1e-8)
 
 
 def _skew_coefficients(grid, skew):
@@ -352,6 +384,49 @@ def test_solve_penalized_divergence_carries_history():
         solve_penalized(data, 0.04, zero_field(data.grid), cfg)
     assert err.value.iterate is not None
     assert len(err.value.history) >= 1
+
+
+def test_far_off_init_at_eps_min_converges_or_diverges_without_warning():
+    # at eps_min the residual of these inits reaches about 1e276, so its
+    # squared norm, and that of trial points, overflows; the Newton system
+    # is solved in scaled form and non-finite trial merits are rejected
+    data = binding_1d()
+    cfg = PenaltyConfig()
+    ref = solve_vi(data, cfg, diag_trials=0).u.values
+    outcomes = []
+    for factor in (5.0, 50.0, -50.0, 500.0):
+        init = ScalarField(data.grid, factor * ref)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                u = solve_penalized(data, cfg.eps_min, init, cfg)
+            except SolverDivergence as exc:
+                assert exc.history and np.isfinite(exc.history).all()
+                outcomes.append("diverged")
+                continue
+        # the penalized problem at eps_min has one solution
+        assert np.abs(u.values - ref).max() <= 1e-6 * np.abs(ref).max()
+        outcomes.append("converged")
+    assert "converged" in outcomes
+
+
+def test_trial_with_overflowing_merit_is_never_accepted(monkeypatch):
+    # every trial residual is -sign(x - x0) times the largest double: its
+    # squared norm overflows to inf and d.r to -inf, which alone would pass
+    # the energy test
+    real = frvi.vi._PenalizedSystem.residual
+    start = []
+
+    def residual(self, x):
+        if not start:
+            start.append(x.copy())
+            return real(self, x)
+        return -np.sign(x - start[0]) * np.finfo(float).max
+    monkeypatch.setattr(frvi.vi._PenalizedSystem, "residual", residual)
+    data = binding_1d()
+    with pytest.raises(SolverDivergence, match="no descent") as err:
+        solve_penalized(data, 0.5, zero_field(data.grid), PenaltyConfig())
+    assert len(err.value.history) == 1
 
 
 def test_divergence_counts_nonconverged_krylov_solves(monkeypatch):
