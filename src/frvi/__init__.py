@@ -22,6 +22,7 @@ from .fracgrad import (
     frac_divergence,
     frac_gradient,
     frac_laplacian,
+    gram_matrix,
     hsigma_norm,
     quadrature_frac_gradient,
     random_band_limited,

@@ -248,14 +248,13 @@ def _problem_from_config(cfg, base_dir: Path) -> tuple:
     return data, pen
 
 
-def _gamma_from_spec(spec: str, mask, sigma: float) -> tuple:
+def _gamma_from_spec(spec: str, mask, sigma: float):
     parts = spec.split(":")
     if parts[0] == "constant":
-        return ConstantGamma(float(parts[1])), None
+        return ConstantGamma(float(parts[1]))
     if parts[0] == "integral":
         cp = estimate_poincare_constant(mask.grid, mask, sigma)
-        return IntegralGamma(float(parts[1]), float(parts[2]), mask, sigma,
-                             cp.value), cp.value
+        return IntegralGamma(float(parts[1]), float(parts[2]), mask, sigma, cp)
     raise ConfigError(f"unknown gamma spec {spec!r}")
 
 
@@ -291,9 +290,17 @@ def _operator_from_config(cfg, data: ProblemData):
         if parts[0] != "constant":
             raise ConfigError(f"unknown phi spec {phi_spec!r}")
         phi = scalar_field(mask.grid, float(parts[1]))
-        gamma, _ = _gamma_from_spec(_get(cfg, "qvi", "gamma", str), mask, sigma)
+        gamma = _gamma_from_spec(_get(cfg, "qvi", "gamma", str), mask, sigma)
         return SeparatedOperator(phi, gamma)
     raise ConfigError(f"unknown qvi variant {variant!r}")
+
+
+@_built_from_config
+def _certificate(data: ProblemData, operator: SeparatedOperator):
+    """Contraction certificate from the certified embedding constant C*."""
+    c_star = estimate_sobolev_constant(data.grid, data.mask, data.sigma)
+    return contraction_certificate(data.f, data.mask, data.sigma, operator,
+                                   c_star, data.A.a_star)
 
 
 def _diag_rows(sol) -> list:
@@ -410,11 +417,7 @@ def _dispatch(subcommand, cfg, base_dir, out, seed, log, artifacts) -> int:
                    "feas_violation", "comp_gap"], rows)
         artifacts.extend(["u.fvf", "g_fixed.fvf", "qvi_trace.csv"])
         if isinstance(operator, SeparatedOperator):
-            c_star = estimate_sobolev_constant(data.grid, data.mask, data.sigma)
-            report = contraction_certificate(
-                data.f, data.mask, data.sigma, operator, c_star.value,
-                data.A.a_star)
-            _write_certificate(report, out, artifacts)
+            _write_certificate(_certificate(data, operator), out, artifacts)
         log.event("solved", outer_iters=sol.iterations, converged=sol.converged,
                   fp_residual=sol.fixed_point_residual)
         print(f"solve-qvi: iters={sol.iterations} converged={sol.converged} "
@@ -463,9 +466,7 @@ def _dispatch(subcommand, cfg, base_dir, out, seed, log, artifacts) -> int:
         operator = _operator_from_config(cfg, data)
         if not isinstance(operator, SeparatedOperator):
             raise ConfigError("certificate requires the separated variant")
-        c_star = estimate_sobolev_constant(data.grid, data.mask, data.sigma)
-        report = contraction_certificate(data.f, data.mask, data.sigma,
-                                         operator, c_star.value, data.A.a_star)
+        report = _certificate(data, operator)
         _write_certificate(report, out, artifacts)
         log.event("certificate", q=report.q, certified=report.certified)
         print(f"certificate: q={report.q:.4g} certified={report.certified}")

@@ -36,6 +36,7 @@ from scipy.special import zeta as sp_zeta
 from .fields import DomainMask, Grid, ScalarField, VectorField, lp_norm
 
 QUADRATURE_NODE_LIMIT = 4096
+DENSE_UNKNOWN_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,34 @@ def frac_laplacian(u: ScalarField, order: FracOrder | float) -> ScalarField:
     """Fractional Laplacian, symbol |kappa|^(2 sigma)."""
     _, mag_sigma = multiplier_table(u.grid, as_sigma(order))
     return ScalarField(u.grid, apply_symbol(u.values, mag_sigma**2))
+
+
+def gram_matrix(mask: DomainMask, sigma: float) -> np.ndarray:
+    """Restricted Gram matrix M of the H^sigma form on the inside nodes:
+    ||E x||_Hsigma^2 = h^N x^T M x, with E the zero extension of x.
+
+    M restricts the translation-invariant fractional Laplacian, so
+    M_ij = K((x_i - x_j) mod n) with K its response to an impulse at node 0.
+    Dense, so limited to DENSE_UNKNOWN_LIMIT inside nodes.
+    """
+    m = mask.num_inside
+    if m > DENSE_UNKNOWN_LIMIT:
+        raise ValueError(f"too many unknowns for a dense Gram matrix ({m} inside "
+                         f"nodes, limit {DENSE_UNKNOWN_LIMIT})")
+    grid = mask.grid
+    _, mag_sigma = multiplier_table(grid, as_sigma(sigma))
+    impulse = np.zeros(grid.shape)
+    impulse[(0,) * grid.dim] = 1.0
+    kernel = apply_symbol(impulse, mag_sigma**2).ravel()
+    # flat kernel index of x_i - x_j, built in place: two m x m arrays at most
+    flat = np.zeros((m, m), dtype=np.intp)
+    step = np.empty_like(flat)
+    for coord in np.argwhere(mask.inside).T:
+        np.subtract.outer(coord, coord, out=step)
+        flat *= grid.resolution
+        flat += np.mod(step, grid.resolution, out=step)
+    del step
+    return kernel[flat]
 
 
 def assert_supported(u: ScalarField, mask: DomainMask, tol: float = 1e-14) -> None:

@@ -14,7 +14,13 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .fields import ScalarField, VectorField, lp_norm, magnitude
-from .fracgrad import apply_symbol, grad_arrays, multiplier_table, neg_div_arrays
+from .fracgrad import (
+    apply_symbol,
+    grad_arrays,
+    gram_matrix,
+    multiplier_table,
+    neg_div_arrays,
+)
 from .vi import (
     ProblemData,
     SolverDivergence,
@@ -24,7 +30,6 @@ from .vi import (
 )
 
 ORACLE_NODE_LIMIT = 16384
-DENSE_UNKNOWN_LIMIT = 4096
 
 
 def project_ball(w: VectorField, g: Threshold) -> VectorField:
@@ -34,34 +39,30 @@ def project_ball(w: VectorField, g: Threshold) -> VectorField:
     return VectorField(w.grid, tuple(factor * c for c in w.components))
 
 
-class _DenseOperator:
-    """Dense assembly of u -> P[-div^s(C D^s E u)] on the inside nodes."""
+def _constant_scalar(A) -> float | None:
+    """The value of A when it is one scalar at every node, else None."""
+    if A.is_scalar and np.ptp(A.values) == 0.0:
+        return float(A.values.flat[0])
+    return None
 
-    def __init__(self, data: ProblemData):
-        self.data = data
-        self.grid = data.grid
-        self.inside = data.mask.inside
-        self.m = int(self.inside.sum())
-        if self.m > DENSE_UNKNOWN_LIMIT:
-            raise ValueError(
-                f"too many unknowns for dense oracle ({self.m} inside nodes)")
-        self.mat_a = self._assemble(lambda w: data.A.apply(w))
-        self.mat_lap = self._assemble(lambda w: w)
 
-    def _assemble(self, coeff_apply) -> np.ndarray:
-        cols = np.zeros((self.m, self.m))
-        basis = np.zeros(self.grid.shape)
-        idx = np.argwhere(self.inside)
-        for j, node in enumerate(idx):
-            basis[tuple(node)] = 1.0
-            w = grad_arrays(basis, self.grid, self.data.sigma)
-            out = neg_div_arrays(coeff_apply(w), self.grid, self.data.sigma)
-            cols[:, j] = out[self.inside]
-            basis[tuple(node)] = 0.0
-        return cols
-
-    def system(self, rho: float) -> np.ndarray:
-        return self.mat_a + rho * self.mat_lap
+def _dense_operators(data: ProblemData) -> tuple:
+    """(mat_a, mat_lap): u -> P[-div^s(C D^s E u)] on the inside nodes for
+    C = A and C = 1.  mat_lap is the restricted Gram matrix; a constant
+    scalar A scales it, any other A is assembled column by column."""
+    mat_lap = gram_matrix(data.mask, data.sigma)
+    a = _constant_scalar(data.A)
+    if a is not None:
+        return (mat_lap if a == 1.0 else a * mat_lap), mat_lap
+    grid, sigma, inside = data.grid, data.sigma, data.mask.inside
+    mat_a = np.zeros(mat_lap.shape)
+    basis = np.zeros(grid.shape)
+    for j, node in enumerate(np.argwhere(inside)):
+        basis[tuple(node)] = 1.0
+        w = grad_arrays(basis, grid, sigma)
+        mat_a[:, j] = neg_div_arrays(data.A.apply(w), grid, sigma)[inside]
+        basis[tuple(node)] = 0.0
+    return mat_a, mat_lap
 
 
 def oracle_solve_pde(data: ProblemData) -> ScalarField:
@@ -69,18 +70,15 @@ def oracle_solve_pde(data: ProblemData) -> ScalarField:
     to be active.  Full-torus constant scalar coefficients go through exact
     spectral inversion, masked domains through a dense factorization."""
     grid = data.grid
-    if data.mask.is_full and data.A.is_scalar and np.ptp(data.A.values) == 0.0:
-        a = float(data.A.values.flat[0])
+    a = _constant_scalar(data.A)
+    if data.mask.is_full and a is not None:
         _, mag_sigma = multiplier_table(grid, data.sigma)
         mult = mag_sigma**2
         inverse = np.where(mult > 0.0, 1.0 / (a * np.where(mult > 0, mult, 1.0)), 0.0)
         u_vals = apply_symbol(data.f.values, inverse)
     else:
-        if grid.num_nodes > DENSE_UNKNOWN_LIMIT:
-            raise ValueError("masked dense solve limited to 4096 nodes")
-        op = _DenseOperator(data)
-        rhs = data.f.values[data.mask.inside]
-        x = np.linalg.solve(op.mat_a, rhs)
+        mat_a, _ = _dense_operators(data)
+        x = np.linalg.solve(mat_a, data.f.values[data.mask.inside])
         u_vals = np.zeros(grid.shape)
         u_vals[data.mask.inside] = x
     u = ScalarField(grid, u_vals)
@@ -109,7 +107,7 @@ def oracle_solve_vi(data: ProblemData, rho: float = 1.0, tol: float = 1e-9,
     grid = data.grid
     if grid.num_nodes > ORACLE_NODE_LIMIT:
         raise ValueError("grid too large for the oracle")
-    op = _DenseOperator(data)
+    mat_a, mat_lap = _dense_operators(data)
     inside = data.mask.inside
     f_in = data.f.values[inside]
     sigma = data.sigma
@@ -117,7 +115,7 @@ def oracle_solve_vi(data: ProblemData, rho: float = 1.0, tol: float = 1e-9,
     shape = (grid.dim,) + grid.shape
     w = np.zeros(shape)
     y = np.zeros(shape)
-    factor = cho_factor(op.system(rho))
+    factor = cho_factor(mat_a + rho * mat_lap)
     since_refactor = 0
     for it in range(max_iter):
         rhs = f_in + neg_div_arrays(w - y, grid, sigma)[inside] * rho
@@ -140,12 +138,12 @@ def oracle_solve_vi(data: ProblemData, rho: float = 1.0, tol: float = 1e-9,
             if primal > 10.0 * dual:
                 rho *= 2.0
                 y = y / 2.0
-                factor = cho_factor(op.system(rho))
+                factor = cho_factor(mat_a + rho * mat_lap)
                 since_refactor = 0
             elif dual > 10.0 * primal:
                 rho /= 2.0
                 y = y * 2.0
-                factor = cho_factor(op.system(rho))
+                factor = cho_factor(mat_a + rho * mat_lap)
                 since_refactor = 0
     raise SolverDivergence(
         f"splitting oracle: max_iter={max_iter} reached "

@@ -1,21 +1,22 @@
 """Solution-dependent constraints: threshold operators, the damped Picard
-fixed-point driver, discrete Sobolev/Poincare constant estimation, and the
+fixed-point driver, certified discrete Sobolev/Poincare constants, and the
 contraction certificate for the separated-form operator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import DomainMask, Grid, ScalarField, inner, lp_norm, magnitude
-from .fracgrad import grad_arrays, hsigma_norm, neg_div_arrays, random_band_limited
+from .fields import DomainMask, Grid, ScalarField, lp_norm
+from .fracgrad import gram_matrix, grad_arrays, hsigma_norm, random_band_limited
 from .vi import (
     EllipticCoefficients,
     PenaltyConfig,
     ProblemData,
+    SolverDivergence,
     Threshold,
     VISolution,
     solve_vi,
@@ -37,159 +38,39 @@ def sobolev_exponents(dim: int, sigma: float) -> tuple:
     return math.inf, 1.0
 
 
-# Cap on the grid values in one stack of restarts in the constant ascent.
-# Inverse transforms of large 2D stacks cost more per row than lone calls:
-# binding_2d's Poincare estimate (64^2, 20 restarts) took a median 1.64 s
-# with all restarts in one stack and 1.27 s with 4 rows per stack.
-ASCENT_STACK_VALUES = 1 << 14
+def _embedding_bounds(mask: DomainMask, sigma: float) -> tuple:
+    """Certified upper bounds (C_inf, C_P) of ||u||_Linf(Omega) <= C_inf
+    ||u||_Hsigma and ||u||_L2 <= C_P ||u||_Hsigma for u supported in the mask.
 
-
-@dataclass
-class RayleighEstimate:
-    """Result of the quotient-maximization run (a certified lower bound)."""
-
-    value: float
-    converged: bool
-    restarts: list = field(default_factory=list)
-
-
-def _rayleigh_ascent(grid: Grid, mask: DomainMask, sigma: float, p: float,
-                     restarts: int, iters: int, seed: int) -> RayleighEstimate:
-    """Projected gradient ascent on ||u||_Lp(Omega) / ||u||_Hsigma over
-    fields supported in the mask.
-
-    The restarts run together as the rows of stacked (R, *grid.shape)
-    arrays, one transform call per stacked array.  A stack holds at most
-    ASCENT_STACK_VALUES grid values: all restarts on a 128-point 1D grid,
-    4 rows at 64^2.  Each row keeps its own step, its own 20-trial
-    backtracking and its own stopping rule, so it follows the path it
-    would follow alone, bit for bit: every norm sums one C-contiguous row,
-    as lp_norm sums its 1-D array, and is finished by a scalar root per row
-    (numpy's vectorized power may differ from the scalar one in the last
-    place).  The ascent direction reuses D^sigma of the iterate, formed
-    when its quotient was taken.
+    With ||u||_Hsigma^2 = h^N x^T M x (gram_matrix), C_P^2 = 1/lam_min(M) and
+    C_inf^2 = max_i (M^-1)_ii / h^N exactly, attained by the lam_min
+    eigenvector and by M^-1 e_i.  Each eigenvalue is first lowered by the
+    Weyl margin m eps_mach max|lam|, so round-off cannot lower a bound.
     """
-    rng = np.random.default_rng(seed)
-    inside = mask.inside
-    hN = grid.cell_volume
-
-    def per_row(x):
-        # per-row scalars shaped to broadcast over (R, *grid.shape)
-        return x.reshape((-1,) + (1,) * grid.dim)
-
-    def finish(sums, exponent):
-        # per-row scalar root of hN * sum, as lp_norm takes it
-        return np.array([(hN * s) ** (1.0 / exponent) for s in sums])
-
-    def hsigma(V):
-        # hsigma_norm of each row, and the gradient it took
-        w = grad_arrays(V, grid, sigma)
-        mag = magnitude(np.moveaxis(w, 1, 0)).reshape(len(V), grid.num_nodes)
-        return finish(np.sum(np.abs(mag) ** 2.0, axis=1), 2.0), w
-
-    def lp(V):
-        # lp_norm of each row over the mask
-        v = np.abs(np.ascontiguousarray(V[:, inside]))
-        if math.isinf(p):
-            return v.max(axis=1)
-        return finish(np.sum(v ** p, axis=1), p)
-
-    def quotient(V):
-        den, w = hsigma(V)
-        return lp(V) / np.where(den > 0, den, np.inf), w  # 0 where den <= 0
-
-    def grad_num(V, norm):
-        # d||u||_p / du at the h^N measure; subgradient at p = inf
-        if math.isinf(p):
-            flat = V.reshape(len(V), grid.num_nodes)
-            out = np.zeros_like(flat)
-            rows = np.arange(len(V))
-            idx = np.argmax(np.abs(flat), axis=1)
-            out[rows, idx] = np.sign(flat[rows, idx])
-            return out.reshape(V.shape)
-        scale = np.array([float(n) ** (p - 1.0) if n != 0.0 else np.inf
-                          for n in norm])  # zero rows give zero
-        return hN * np.abs(V) ** (p - 1.0) * np.sign(V) / per_row(scale)
-
-    def grad_den_sq(w):
-        # gradient of ||u||_Hsigma^2 = <u, (-Delta)^sigma u> restricted,
-        # from w = D^sigma u
-        return 2.0 * np.where(inside, neg_div_arrays(w, grid, sigma), 0.0)
-
-    def climb(draws):
-        # final quotient and last gain of each row with a nonzero draw
-        den, _ = hsigma(draws)
-        keep = den != 0.0
-        vals = draws[keep] / per_row(den[keep])
-        q, grads = quotient(vals)  # grads[i] = D^sigma vals[i]
-        step = np.full(len(vals), 0.5)
-        last_gain = np.zeros(len(vals))
-        active = np.arange(len(vals))
-        for _ in range(iters):
-            if not active.size:
-                break
-            V = vals[active]
-            num = lp(V)
-            # ascent direction of log quotient
-            direction = (grad_num(V, num) / per_row(np.maximum(num, 1e-300))
-                         - 0.5 * grad_den_sq(grads[active]))
-            direction = np.where(inside, direction, 0.0)
-            searching = np.arange(len(active))  # positions in active
-            for _ in range(20):
-                if not searching.size:
-                    break
-                rows = active[searching]
-                trial = vals[rows] + per_row(step[rows]) * direction[searching]
-                den, _ = hsigma(trial)
-                ok = den > 0
-                trial[ok] /= per_row(den[ok])
-                q_try = np.zeros(len(rows))
-                q_try[ok], w_try = quotient(trial[ok])
-                won = ok & (q_try > q[rows])
-                acc = rows[won]
-                last_gain[acc] = q_try[won] - q[acc]
-                vals[acc] = trial[won]
-                grads[acc] = w_try[won[ok]]
-                q[acc] = q_try[won]
-                step[acc] *= 1.5
-                step[rows[~won]] *= 0.5
-                searching = searching[~won]
-            # rows with no accepted trial stop climbing
-            last_gain[active[searching]] = 0.0
-            active = np.delete(active, searching)
-        return q.tolist(), last_gain.tolist()
-
-    draws = np.array([np.where(inside, rng.normal(size=grid.shape), 0.0)
-                      for _ in range(restarts)]).reshape((restarts,) + grid.shape)
-    stack = max(1, ASCENT_STACK_VALUES // grid.num_nodes)
-    per_restart, gains = [], []
-    for start in range(0, restarts, stack):
-        q, last_gain = climb(draws[start:start + stack])
-        per_restart += q
-        gains += last_gain
-    best = 0.0
-    best_final_gain = 0.0
-    for qr, gain in zip(per_restart, gains):
-        if qr > best:
-            best, best_final_gain = qr, gain
-    # flagged when the winning restart was still climbing at its budget
-    converged = best_final_gain <= 1e-3 * max(best, 1e-300)
-    return RayleighEstimate(value=best, converged=converged, restarts=per_restart)
+    lam, vecs = np.linalg.eigh(gram_matrix(mask, sigma))
+    lam = lam - len(lam) * np.finfo(float).eps * np.abs(lam).max()
+    if lam[0] <= 0.0:
+        raise ValueError("Gram matrix is singular: no Poincare inequality on this mask")
+    diag_inverse = (vecs**2) @ (1.0 / lam)
+    c_inf = math.sqrt(float(diag_inverse.max()) / mask.grid.cell_volume)
+    return c_inf, 1.0 / math.sqrt(float(lam[0]))
 
 
-def estimate_sobolev_constant(grid: Grid, mask: DomainMask, sigma: float,
-                              restarts: int = 50, iters: int = 60,
-                              seed: int = 101) -> RayleighEstimate:
-    """Lower bound on the discrete embedding constant ||u||_L2* <= C ||u||_Hsigma."""
+def estimate_sobolev_constant(grid: Grid, mask: DomainMask, sigma: float) -> float:
+    """Certified upper bound on the constant of ||u||_L2* <= C ||u||_Hsigma:
+    C_inf when 2* = inf, else C_inf^(1-2/p) C_P^(2/p) with p = 2*, since
+    ||u||_p <= ||u||_inf^(1-2/p) ||u||_2^(2/p).  Raises ValueError above
+    gram_matrix's dense limit or when M is singular (a full torus)."""
     two_star, _ = sobolev_exponents(grid.dim, sigma)
-    return _rayleigh_ascent(grid, mask, sigma, two_star, restarts, iters, seed)
+    c_inf, c_p = _embedding_bounds(mask, sigma)
+    if math.isinf(two_star):
+        return c_inf
+    return c_inf ** (1.0 - 2.0 / two_star) * c_p ** (2.0 / two_star)
 
 
-def estimate_poincare_constant(grid: Grid, mask: DomainMask, sigma: float,
-                               restarts: int = 20, iters: int = 60,
-                               seed: int = 202) -> RayleighEstimate:
-    """Lower bound on the discrete constant of ||u||_L2 <= C ||u||_Hsigma."""
-    return _rayleigh_ascent(grid, mask, sigma, 2.0, restarts, iters, seed)
+def estimate_poincare_constant(grid: Grid, mask: DomainMask, sigma: float) -> float:
+    """Certified upper bound on the discrete constant of ||u||_L2 <= C ||u||_Hsigma."""
+    return _embedding_bounds(mask, sigma)[1]
 
 
 # -- threshold operators -----------------------------------------------------
@@ -334,7 +215,8 @@ class IntegralGamma(GammaFunctional):
 
     The integrand is 1-Lipschitz jointly in (u, D^sigma u), so a global
     Lipschitz modulus is c1 |Omega|^(1/2) (C_P + 1) <= 2 c1 |Omega|^(1/2)
-    max(1, C_P) with C_P the discrete Poincare constant.
+    max(1, C_P), valid when `poincare` is an upper bound on the discrete
+    Poincare constant C_P, as estimate_poincare_constant certifies.
     """
 
     def __init__(self, eta0: float, c1: float, mask: DomainMask, sigma: float,
@@ -383,14 +265,6 @@ class SeparatedOperator(ThresholdOperator):
 
 # -- contraction certificate --------------------------------------------------
 
-C_STAR_SAFETY = 2.0
-
-
-def safety_factored_constant(c_star: float, a_star: float) -> float:
-    """C# from the lower-bound embedding estimate c_star, kept conservative."""
-    return C_STAR_SAFETY * c_star / a_star
-
-
 @dataclass
 class ContractionReport:
     C_sharp: float
@@ -407,17 +281,17 @@ def contraction_certificate(f: ScalarField, mask: DomainMask, sigma: float,
                             seed: int = 303) -> ContractionReport:
     """Uniqueness certificate for the separated-form constraint.
 
-    Uses the safety-factored embedding constant (the supplied c_star is a
-    lower-bound estimate, multiplied by C_STAR_SAFETY to stay conservative),
-    the declared functional moduli at the a priori radius R_f, and certifies
-    when q = 2 C# (lip/floor) ||f|| < 1.  The declared Lipschitz modulus is
+    Uses C# = c_star / a_star, with c_star a certified upper bound on the
+    embedding constant (estimate_sobolev_constant), the declared functional
+    moduli at the a priori radius R_f = C# ||f||_2#, and certifies when
+    q = 2 C# (lip/floor) ||f||_2# < 1.  The declared Lipschitz modulus is
     falsified on random pairs inside B_{R_f} before being trusted.
     """
     if not isinstance(operator, SeparatedOperator):
         raise ValueError("certificate applies to the separated variant only")
     _, two_sharp = sobolev_exponents(mask.grid.dim, sigma)
     f_norm = lp_norm(f, two_sharp, mask)
-    c_sharp = safety_factored_constant(c_star, a_star)
+    c_sharp = c_star / a_star
     r_f = c_sharp * f_norm
     eta = operator.gamma.floor(r_f)
     gam = operator.gamma.lip(r_f)
@@ -496,8 +370,10 @@ def solve_qvi(problem: QVIProblem, operator: ThresholdOperator,
 
     The first inner solve starts cold (from init, or zero) and runs the
     whole eps schedule of inner_cfg; every later one, warm-started from the
-    previous iterate, is one penalized solve at eps_min.  Only the final
-    solve, returned as `inner`, computes the sampled vi_residual.
+    previous iterate, is one penalized solve at eps_min.  A warm solve that
+    diverges, as one can when the threshold moved far between outer steps,
+    is run again from the same iterate along the whole schedule.  Only the
+    final solve, returned as `inner`, computes the sampled vi_residual.
 
     Damping is halved after three consecutive non-decreasing fixed-point
     residuals.  On success the returned iterate solves the constrained
@@ -512,13 +388,22 @@ def solve_qvi(problem: QVIProblem, operator: ThresholdOperator,
     grid = problem.mask.grid
     u = init if init is not None else ScalarField(grid, np.zeros(grid.shape))
     trace = []
+
+    def inner_solve(g: Threshold, start: ScalarField, **kwargs) -> VISolution:
+        data = problem.with_threshold(g)
+        if trace:
+            try:
+                return solve_vi(data, warm_cfg, init=start, **kwargs)
+            except SolverDivergence:
+                pass
+        return solve_vi(data, inner_cfg, init=start, **kwargs)
+
     stall = 0
     prev_res = math.inf
     converged = False
     for it in range(1, outer_max + 1):
         g_k = operator.apply(u)
-        sol = solve_vi(problem.with_threshold(g_k),
-                       warm_cfg if trace else inner_cfg, init=u, diag_trials=0)
+        sol = inner_solve(g_k, u, diag_trials=0)
         u_next = ScalarField(grid, (1.0 - damping) * u.values + damping * sol.u.values)
         fp_res = hsigma_norm(
             ScalarField(grid, u_next.values - u.values), problem.sigma)
@@ -541,8 +426,7 @@ def solve_qvi(problem: QVIProblem, operator: ThresholdOperator,
         prev_res = fp_res
     # consistency solve at the converged threshold
     g_fix = operator.apply(u)
-    sol = solve_vi(problem.with_threshold(g_fix),
-                   warm_cfg if trace else inner_cfg, init=u)
+    sol = inner_solve(g_fix, u)
     return QVISolution(
         u=sol.u, g_fixed=g_fix, iterations=len(trace),
         fixed_point_residual=trace[-1].fp_residual if trace else 0.0,

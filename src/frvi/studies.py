@@ -5,8 +5,8 @@ continuation, and the threshold-continuity (Mosco-type) diagnostic.
 
 Every bound check assembles its constant from measured ingredients only
 (ellipticity bounds, the threshold floor, source norms, the empirically
-estimated sup-norm and embedding constants); each check records that
-provenance string next to the verdict.
+estimated sup-norm constant and the certified embedding constant); each
+check records that provenance string next to the verdict.
 """
 
 from __future__ import annotations
@@ -18,12 +18,7 @@ import numpy as np
 
 from .fields import ScalarField, VectorField, lp_norm, write_csv
 from .fracgrad import frac_gradient, hsigma_norm
-from .qvi import (
-    C_STAR_SAFETY,
-    estimate_sobolev_constant,
-    safety_factored_constant,
-    sobolev_exponents,
-)
+from .qvi import estimate_sobolev_constant, sobolev_exponents
 from .vi import (
     PenaltyConfig,
     ProblemData,
@@ -129,11 +124,11 @@ def lipschitz_study_f(base: ProblemData, deltas: list,
         ratios_l1.append(du / dn_l1)
         rows.append([i, dn_sharp, dn_l1, du / dn_sharp, du / dn_l1, "solved"])
     kappa, witness = empirical_kappa(solutions, base, with_witness=True)
-    est = estimate_sobolev_constant(base.grid, base.mask, base.sigma)
-    c_sharp = safety_factored_constant(est.value, base.A.a_star)
+    c_star = estimate_sobolev_constant(base.grid, base.mask, base.sigma)
+    c_sharp = c_star / base.A.a_star
     checks = [
         BoundCheck("lipschitz_2sharp", max(ratios_sharp, default=0.0), c_sharp,
-                   f"C_sharp = {C_STAR_SAFETY}x estimated C*({est.value:.4g}) / a*"),
+                   f"C_sharp = certified C*({c_star:.4g}) / a*"),
         BoundCheck("lipschitz_l1", max(ratios_l1, default=0.0),
                    kappa / base.A.a_star,
                    f"C_1 = empirical kappa({kappa:.4g}) / a*"),
@@ -143,7 +138,7 @@ def lipschitz_study_f(base: ProblemData, deltas: list,
         columns=["case", "df_2sharp", "df_l1", "ratio_2sharp", "ratio_l1", "status"],
         rows=rows, checks=checks,
         constants={"C_sharp": c_sharp, "kappa_hat": kappa,
-                   "C_star_est": est.value, "a_star": base.A.a_star},
+                   "C_star": c_star, "a_star": base.A.a_star},
         notes={"kappa_witness": witness})
 
 

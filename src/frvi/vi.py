@@ -71,6 +71,8 @@ class EllipticCoefficients:
         v = np.ascontiguousarray(self.values, dtype=np.float64)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
+        if not np.isfinite(v).all():
+            raise ValueError("coefficient contains non-finite values")
         if not 0.0 < self.a_star <= self.a_upper:
             raise ValueError("need 0 < a_star <= a_upper")
         if v.shape == self.grid.shape:

@@ -213,7 +213,7 @@ def test_09_lipschitz_in_f():
                 1e-12, float(np.abs(z.values).max()))
             deltas.append(ScalarField(data.grid, scale * z.values))
         rep = lipschitz_study_f(data, deltas[:10], VI_CFG)
-        check = rep.checks[0]  # dual-exponent ratio vs safety-factored constant
+        check = rep.checks[0]  # dual-exponent ratio vs certified constant
         assert check.passed
         details.append(f"{check.observed:.3f}<={check.bound:.3f}")
     report(9, "Lipschitz in f", ", ".join(details))
@@ -282,7 +282,7 @@ def test_13_qvi_apriori_bound():
         _, two_sharp = sobolev_exponents(inst.problem.mask.grid.dim,
                                          inst.problem.sigma)
         f_norm = lp_norm(inst.problem.f, two_sharp, inst.problem.mask)
-        bound = 1.1 * (2.0 * c_star / inst.problem.A.a_star) * f_norm
+        bound = 1.1 * (c_star / inst.problem.A.a_star) * f_norm
         sol = solve_qvi(inst.problem, inst.operator, QVI_INNER_CFG,
                         outer_tol=QVI_OUTER_TOL)
         assert sol.converged, inst.name

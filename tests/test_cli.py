@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import frvi.cli
@@ -172,6 +173,35 @@ def test_coefficients_file_checks_its_grid(tmp_path, extent, reason):
     errors = _error_events(out)
     assert errors and errors[0]["kind"] == "config"
     assert reason in errors[0]["reason"]
+
+
+@pytest.mark.parametrize("shape", [(128,), (128, 1, 1)], ids=["scalar", "matrix"])
+def test_non_finite_coefficients_exit_config_error(tmp_path, shape):
+    raw = np.full(shape, 1.5)
+    raw[40] = np.nan
+    np.save(tmp_path / "coef.npy", raw)
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(BINDING.read_text().replace(
+        "coefficients = identity",
+        "coefficients = matrix-file:coef.npy\na_star = 1.0\na_upper = 2.0"))
+    out = tmp_path / "out"
+    assert run(str(cfg), "solve-vi", out_dir=str(out)) == EXIT_CONFIG
+    errors = _error_events(out)
+    assert errors and errors[0]["kind"] == "config"
+    assert "non-finite" in errors[0]["reason"]
+
+
+def test_certificate_beyond_the_dense_limit_exits_config_error(tmp_path):
+    # 127^2 = 16,129 inside nodes: rejected before any dense assembly
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(QVI.read_text().replace("dim = 1", "dim = 2").replace(
+        "resolution = 128", "resolution = 256").replace(
+        "gamma = integral:1.0:0.00028", "gamma = constant:1.0"))
+    out = tmp_path / "out"
+    assert run(str(cfg), "certificate", out_dir=str(out)) == EXIT_CONFIG
+    errors = _error_events(out)
+    assert errors and errors[0]["kind"] == "config"
+    assert "16129 inside nodes" in errors[0]["reason"]
 
 
 def test_missing_input_file_exits_config_error(tmp_path):

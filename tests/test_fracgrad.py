@@ -11,6 +11,7 @@ from frvi.fracgrad import (
     frac_gradient,
     frac_laplacian,
     grad_arrays,
+    gram_matrix,
     hsigma_norm,
     multiplier_table,
     neg_div_arrays,
@@ -149,6 +150,29 @@ def test_divergence_of_gradient_is_minus_laplacian():
             comp = frac_divergence(frac_gradient(u, sigma), sigma)
             scale = np.abs(lap.values).max() + 1.0
             assert np.abs(lap.values + comp.values).max() <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("dim, n, sigma", [(1, 128, 0.5), (2, 64, 0.4)])
+def test_gram_matrix_matches_column_assembly(dim, n, sigma):
+    # binding_1d's and binding_2d's masks; column j of the reference is
+    # -div^sigma D^sigma of the unit field at the j-th inside node
+    g = make_grid(dim, 2.0, n)
+    m = mask_box(g, 1.0)
+    nodes = np.argwhere(m.inside)
+    ref = np.zeros((len(nodes), len(nodes)))
+    basis = np.zeros(g.shape)
+    for j, node in enumerate(nodes):
+        basis[tuple(node)] = 1.0
+        ref[:, j] = neg_div_arrays(grad_arrays(basis, g, sigma), g, sigma)[m.inside]
+        basis[tuple(node)] = 0.0
+    got = gram_matrix(m, sigma)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    # the H^sigma form: ||E x||^2 = h^N x^T M x
+    x = np.random.default_rng(8).normal(size=len(nodes))
+    u = np.zeros(g.shape)
+    u[m.inside] = x
+    form = g.cell_volume * x @ got @ x
+    assert hsigma_norm(ScalarField(g, u), sigma) ** 2 == pytest.approx(form, rel=1e-12)
 
 
 def test_frac_divergence_zero():

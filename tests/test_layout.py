@@ -1,10 +1,13 @@
-"""Source-layout rules: private helpers stay inside their module, and the
-Fourier transforms live in the spectral core (frvi.fracgrad) only."""
+"""Source-layout rules: private helpers stay inside their module, the
+Fourier transforms live in the spectral core (frvi.fracgrad) only, and
+every name the benchmark's tracer wraps still exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "frvi"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "frvi"
 
 
 def _modules():
@@ -36,3 +39,17 @@ def test_fourier_transforms_only_in_fracgrad():
             if any(isinstance(w, str) and "fft" in w for w in words):
                 offenders.append(f"{name}:{node.lineno}")
     assert not offenders, offenders
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/tracing.py wraps frvi functions by name; a rename inside
+    # frvi fails here instead of only in the slow benchmark suite
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+    finally:
+        tracer.restore()

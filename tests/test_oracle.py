@@ -21,6 +21,7 @@ from frvi.oracle import (
     project_ball,
 )
 from frvi.vi import (
+    EllipticCoefficients,
     ProblemData,
     Threshold,
     energy,
@@ -87,6 +88,22 @@ def test_pde_oracle_masked_dense():
     # residual check is internal (raises above 1e-10 * |f|); spot check support
     assert np.all(u.values[~m.inside] == 0.0)
     assert np.abs(u.values).max() > 0.0
+
+
+def test_pde_oracle_masked_variable_coefficient():
+    # a variable scalar A takes the column-by-column assembly; the oracle's
+    # internal residual check (1e-10 * |f|) verifies the solve
+    g = make_grid(1, 2.0, 64)
+    m = mask_box(g, 1.0)
+    A = EllipticCoefficients(g, 1.5 + 0.5 * np.cos(np.pi * g.axis() / 2.0),
+                             a_star=1.0, a_upper=2.0)
+    f = ScalarField(g, np.where(m.inside, 1.0, 0.0))
+    data = ProblemData(m, 0.5, A, f, Threshold(scalar_field(g, 1e4), 1e4))
+    u = oracle_solve_pde(data)
+    assert np.all(u.values[~m.inside] == 0.0)
+    const = oracle_solve_pde(ProblemData(m, 0.5, identity_coefficients(g, 1.5), f,
+                                         data.g))
+    assert not np.allclose(u.values, const.values)
 
 
 def test_pde_oracle_rejects_active_constraint():
