@@ -22,6 +22,7 @@ from .fracgrad import (
     frac_divergence,
     frac_gradient,
     frac_laplacian,
+    gradient_matrix,
     gram_matrix,
     hsigma_norm,
     quadrature_frac_gradient,
@@ -71,6 +72,7 @@ from .qvi import (
     contraction_certificate,
     estimate_poincare_constant,
     estimate_sobolev_constant,
+    estimate_sup_constant,
     sobolev_exponents,
     solve_qvi,
 )

@@ -21,6 +21,13 @@ fields stacked along leading axes.
 Multiplier tables are immutable and cached per (grid, order), the half
 tables beside the full ones; transforms are pure with per-call
 workspaces, safe to run concurrently.
+
+For small masks the core also gives its operators as dense matrices on
+the inside nodes: gram_matrix (the H^sigma form) and gradient_matrix (the
+restricted fractional gradient, which the semismooth Newton solver
+assembles its Jacobians from).  Each comes from one transform of an
+impulse, gathered at the wrapped node differences, since every multiplier
+is translation invariant on the torus.
 """
 
 from __future__ import annotations
@@ -186,6 +193,34 @@ def frac_laplacian(u: ScalarField, order: FracOrder | float) -> ScalarField:
     return ScalarField(u.grid, apply_symbol(u.values, mag_sigma**2))
 
 
+def _check_dense_limit(mask: DomainMask) -> int:
+    m = mask.num_inside
+    if m > DENSE_UNKNOWN_LIMIT:
+        raise ValueError(f"too many unknowns for a dense matrix ({m} inside "
+                         f"nodes, limit {DENSE_UNKNOWN_LIMIT})")
+    return m
+
+
+def _impulse(grid: Grid) -> np.ndarray:
+    impulse = np.zeros(grid.shape)
+    impulse[(0,) * grid.dim] = 1.0
+    return impulse
+
+
+def _wrapped_difference_index(rows: np.ndarray, cols: np.ndarray,
+                              n: int) -> np.ndarray:
+    """Flat grid index of (rows_i - cols_j) mod n for node coordinates
+    rows (a, dim) and cols (b, dim), built in place: two a x b arrays at
+    most."""
+    flat = np.zeros((len(rows), len(cols)), dtype=np.intp)
+    step = np.empty_like(flat)
+    for r, c in zip(rows.T, cols.T):
+        np.subtract.outer(r, c, out=step)
+        flat *= n
+        flat += np.mod(step, n, out=step)
+    return flat
+
+
 def gram_matrix(mask: DomainMask, sigma: float) -> np.ndarray:
     """Restricted Gram matrix M of the H^sigma form on the inside nodes:
     ||E x||_Hsigma^2 = h^N x^T M x, with E the zero extension of x.
@@ -194,24 +229,43 @@ def gram_matrix(mask: DomainMask, sigma: float) -> np.ndarray:
     M_ij = K((x_i - x_j) mod n) with K its response to an impulse at node 0.
     Dense, so limited to DENSE_UNKNOWN_LIMIT inside nodes.
     """
-    m = mask.num_inside
-    if m > DENSE_UNKNOWN_LIMIT:
-        raise ValueError(f"too many unknowns for a dense Gram matrix ({m} inside "
-                         f"nodes, limit {DENSE_UNKNOWN_LIMIT})")
+    _check_dense_limit(mask)
     grid = mask.grid
     _, mag_sigma = multiplier_table(grid, as_sigma(sigma))
-    impulse = np.zeros(grid.shape)
-    impulse[(0,) * grid.dim] = 1.0
-    kernel = apply_symbol(impulse, mag_sigma**2).ravel()
-    # flat kernel index of x_i - x_j, built in place: two m x m arrays at most
-    flat = np.zeros((m, m), dtype=np.intp)
-    step = np.empty_like(flat)
-    for coord in np.argwhere(mask.inside).T:
-        np.subtract.outer(coord, coord, out=step)
-        flat *= grid.resolution
-        flat += np.mod(step, grid.resolution, out=step)
-    del step
-    return kernel[flat]
+    kernel = apply_symbol(_impulse(grid), mag_sigma**2).ravel()
+    coords = np.argwhere(mask.inside)
+    return kernel[_wrapped_difference_index(coords, coords, grid.resolution)]
+
+
+def gradient_matrix(mask: DomainMask, sigma: float) -> np.ndarray:
+    """Restricted fractional gradient G: x -> D^sigma E x as a dense
+    (N * num_nodes, m) matrix, rows ordered as the ravel of the stacked
+    (N, *grid.shape) gradient, E the zero extension of the inside values x.
+
+    D^sigma is translation invariant, so G's column j is the gradient K of
+    an impulse at node 0, shifted to the inside node x_j: the row of node y
+    reads K((y - x_j) mod n).  G^T is P(-div^sigma) with P the restriction
+    to the inside nodes, and G^T G is gram_matrix's M to round-off.  Dense,
+    so limited to DENSE_UNKNOWN_LIMIT inside nodes.
+    """
+    m = _check_dense_limit(mask)
+    grid = mask.grid
+    kernel = grad_arrays(_impulse(grid), grid, as_sigma(sigma)).reshape(grid.dim, -1)
+    nodes = np.indices(grid.shape).reshape(grid.dim, -1).T
+    index = _wrapped_difference_index(nodes, np.argwhere(mask.inside), grid.resolution)
+    return kernel[:, index].reshape(grid.dim * grid.num_nodes, m)
+
+
+def certified_spectrum(M: np.ndarray) -> tuple | None:
+    """(lam, V) of the symmetric M = V diag(lam) V^T, each eigenvalue lowered
+    by the Weyl margin m eps_mach max|lam| so that round-off in eigh cannot
+    raise it above the exact one; None when the lowered least eigenvalue is
+    not positive, i.e. when M is not certified positive definite."""
+    lam, vecs = np.linalg.eigh(M)
+    lam = lam - len(lam) * np.finfo(float).eps * np.abs(lam).max()
+    if lam[0] <= 0.0:
+        return None
+    return lam, vecs
 
 
 def assert_supported(u: ScalarField, mask: DomainMask, tol: float = 1e-14) -> None:

@@ -11,7 +11,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import DomainMask, Grid, ScalarField, lp_norm
-from .fracgrad import gram_matrix, grad_arrays, hsigma_norm, random_band_limited
+from .fracgrad import (
+    certified_spectrum,
+    grad_arrays,
+    gram_matrix,
+    hsigma_norm,
+    random_band_limited,
+)
 from .vi import (
     EllipticCoefficients,
     PenaltyConfig,
@@ -45,12 +51,13 @@ def _embedding_bounds(mask: DomainMask, sigma: float) -> tuple:
     With ||u||_Hsigma^2 = h^N x^T M x (gram_matrix), C_P^2 = 1/lam_min(M) and
     C_inf^2 = max_i (M^-1)_ii / h^N exactly, attained by the lam_min
     eigenvector and by M^-1 e_i.  Each eigenvalue is first lowered by the
-    Weyl margin m eps_mach max|lam|, so round-off cannot lower a bound.
+    Weyl margin m eps_mach max|lam| (certified_spectrum), so round-off
+    cannot lower a bound.
     """
-    lam, vecs = np.linalg.eigh(gram_matrix(mask, sigma))
-    lam = lam - len(lam) * np.finfo(float).eps * np.abs(lam).max()
-    if lam[0] <= 0.0:
+    spectrum = certified_spectrum(gram_matrix(mask, sigma))
+    if spectrum is None:
         raise ValueError("Gram matrix is singular: no Poincare inequality on this mask")
+    lam, vecs = spectrum
     diag_inverse = (vecs**2) @ (1.0 / lam)
     c_inf = math.sqrt(float(diag_inverse.max()) / mask.grid.cell_volume)
     return c_inf, 1.0 / math.sqrt(float(lam[0]))
@@ -71,6 +78,12 @@ def estimate_sobolev_constant(grid: Grid, mask: DomainMask, sigma: float) -> flo
 def estimate_poincare_constant(grid: Grid, mask: DomainMask, sigma: float) -> float:
     """Certified upper bound on the discrete constant of ||u||_L2 <= C ||u||_Hsigma."""
     return _embedding_bounds(mask, sigma)[1]
+
+
+def estimate_sup_constant(grid: Grid, mask: DomainMask, sigma: float) -> float:
+    """Certified upper bound C_inf on the discrete constant of
+    ||u||_Linf(Omega) <= C ||u||_Hsigma."""
+    return _embedding_bounds(mask, sigma)[0]
 
 
 # -- threshold operators -----------------------------------------------------
@@ -305,21 +318,30 @@ def contraction_certificate(f: ScalarField, mask: DomainMask, sigma: float,
 
 def _falsify_lipschitz(gamma: GammaFunctional, mask: DomainMask, sigma: float,
                        radius: float, samples: int, seed: int) -> None:
+    """Raise if |gamma(u1) - gamma(u2)| > lip ||u1 - u2||_Hsigma on a random
+    pair in B_radius: each u is a masked band-limited field scaled to a
+    uniform radius.  D^sigma is linear, so the pair's two norms and its
+    distance come from one stacked gradient of the unscaled fields."""
     rng = np.random.default_rng(seed)
     grid = mask.grid
+    hN = grid.cell_volume
     lip = gamma.lip(radius)
     for _ in range(samples):
-        pair = []
+        vals, radii = [], []
         for _ in range(2):
             z = random_band_limited(grid, rng)
-            vals = np.where(mask.inside, z.values, 0.0)
-            norm = hsigma_norm(ScalarField(grid, vals), sigma)
-            scale = rng.uniform(0.0, radius) / norm if norm > 0 else 0.0
-            pair.append(ScalarField(grid, scale * vals))
-        u1, u2 = pair
-        dist = hsigma_norm(ScalarField(grid, u1.values - u2.values), sigma)
-        gap = abs(gamma(u1) - gamma(u2))
-        if gap > lip * dist + 1e-10 * (1.0 + abs(gamma(u1))):
+            vals.append(np.where(mask.inside, z.values, 0.0))
+            # a nonzero field has a positive Hsigma norm when the mask's
+            # Gram matrix is nonsingular, as every certified mask's is
+            radii.append(rng.uniform(0.0, radius) if vals[-1].any() else 0.0)
+        w = grad_arrays(np.stack(vals), grid, sigma)
+        norms = np.sqrt(hN * np.sum(w * w, axis=tuple(range(1, w.ndim))))
+        scales = [r / n if n > 0 else 0.0 for r, n in zip(radii, norms)]
+        dw = scales[0] * w[0] - scales[1] * w[1]
+        dist = math.sqrt(hN * float(np.sum(dw * dw)))
+        gamma1 = gamma(ScalarField(grid, scales[0] * vals[0]))
+        gap = abs(gamma1 - gamma(ScalarField(grid, scales[1] * vals[1])))
+        if gap > lip * dist + 1e-10 * (1.0 + abs(gamma1)):
             raise ValueError(
                 "declared Lipschitz modulus falsified on sampled pair")
 

@@ -4,9 +4,9 @@ threshold, the classical-gradient limit, penalty traces along the
 continuation, and the threshold-continuity (Mosco-type) diagnostic.
 
 Every bound check assembles its constant from measured ingredients only
-(ellipticity bounds, the threshold floor, source norms, the empirically
-estimated sup-norm constant and the certified embedding constant); each
-check records that provenance string next to the verdict.
+(ellipticity bounds, the threshold floor, source norms and the certified
+embedding constants C_inf and C*); each check records that provenance
+string next to the verdict.
 """
 
 from __future__ import annotations
@@ -18,14 +18,8 @@ import numpy as np
 
 from .fields import ScalarField, VectorField, lp_norm, write_csv
 from .fracgrad import frac_gradient, hsigma_norm
-from .qvi import estimate_sobolev_constant, sobolev_exponents
-from .vi import (
-    PenaltyConfig,
-    ProblemData,
-    Threshold,
-    sample_feasible,
-    solve_vi,
-)
+from .qvi import estimate_sobolev_constant, estimate_sup_constant, sobolev_exponents
+from .vi import PenaltyConfig, ProblemData, Threshold, solve_vi
 
 @dataclass
 class BoundCheck:
@@ -63,37 +57,12 @@ class StudyReport:
         write_csv(path, self.columns, self.rows)
 
 
-def empirical_kappa(solutions: list, data: ProblemData, extra_samples: int = 20,
-                    seed: int = 404, with_witness: bool = False):
-    """Running sup of ||u||_Linf / ||u||_Hsigma over the given solutions and
-    random feasible fields (the sup-norm embedding has no explicit constant).
-
-    A running sup never decreases when the field set grows; pass
-    with_witness=True to also get the field achieving it (archived in
-    study reports)."""
-    rng = np.random.default_rng(seed)
-    fields = list(solutions)
-    for _ in range(extra_samples):
-        fields.append(sample_feasible(data, rng))
-    best = 0.0
-    witness = None
-    for u in fields:
-        den = hsigma_norm(u, data.sigma)
-        if den > 0:
-            ratio = float(np.abs(u.values).max()) / den
-            if ratio > best:
-                best, witness = ratio, u
-    if with_witness:
-        return best, witness
-    return best
-
-
-def _holder_constant(data: ProblemData, kappa: float) -> tuple:
+def _holder_constant(data: ProblemData, c_inf: float) -> tuple:
     """(C_nu, |f|_L1) with C_nu = sqrt(C'_nu / a_*) and
-    C'_nu = 2 kappa^2 |f|_L1^2 (a^* + a_*) / (a_*^2 nu)."""
+    C'_nu = 2 C_inf^2 |f|_L1^2 (a^* + a_*) / (a_*^2 nu)."""
     a_star, a_up = data.A.a_star, data.A.a_upper
     f_l1 = lp_norm(data.f, 1, data.mask)
-    c_nu_prime = 2.0 * kappa**2 * f_l1**2 * (a_up + a_star) / (a_star**2 * data.g.nu)
+    c_nu_prime = 2.0 * c_inf**2 * f_l1**2 * (a_up + a_star) / (a_star**2 * data.g.nu)
     return math.sqrt(c_nu_prime / a_star), f_l1
 
 
@@ -105,7 +74,6 @@ def lipschitz_study_f(base: ProblemData, deltas: list,
     _, two_sharp = sobolev_exponents(base.grid.dim, base.sigma)
     sol0 = solve_vi(base, cfg)
     rows = []
-    solutions = [sol0.u]
     ratios_sharp, ratios_l1 = [], []
     for i, delta in enumerate(deltas):
         dn_sharp = lp_norm(delta, two_sharp, base.mask)
@@ -117,29 +85,27 @@ def lipschitz_study_f(base: ProblemData, deltas: list,
                             ScalarField(base.grid, base.f.values + delta.values),
                             base.g)
         sol2 = solve_vi(data2, cfg)
-        solutions.append(sol2.u)
         du = hsigma_norm(ScalarField(base.grid, sol2.u.values - sol0.u.values),
                          base.sigma)
         ratios_sharp.append(du / dn_sharp)
         ratios_l1.append(du / dn_l1)
         rows.append([i, dn_sharp, dn_l1, du / dn_sharp, du / dn_l1, "solved"])
-    kappa, witness = empirical_kappa(solutions, base, with_witness=True)
+    c_inf = estimate_sup_constant(base.grid, base.mask, base.sigma)
     c_star = estimate_sobolev_constant(base.grid, base.mask, base.sigma)
     c_sharp = c_star / base.A.a_star
     checks = [
         BoundCheck("lipschitz_2sharp", max(ratios_sharp, default=0.0), c_sharp,
                    f"C_sharp = certified C*({c_star:.4g}) / a*"),
         BoundCheck("lipschitz_l1", max(ratios_l1, default=0.0),
-                   kappa / base.A.a_star,
-                   f"C_1 = empirical kappa({kappa:.4g}) / a*"),
+                   c_inf / base.A.a_star,
+                   f"C_1 = certified C_inf({c_inf:.4g}) / a*"),
     ]
     return StudyReport(
         kind="lipschitz_f",
         columns=["case", "df_2sharp", "df_l1", "ratio_2sharp", "ratio_l1", "status"],
         rows=rows, checks=checks,
-        constants={"C_sharp": c_sharp, "kappa_hat": kappa,
-                   "C_star": c_star, "a_star": base.A.a_star},
-        notes={"kappa_witness": witness})
+        constants={"C_sharp": c_sharp, "C_inf": c_inf,
+                   "C_star": c_star, "a_star": base.A.a_star})
 
 
 def holder_study_g(base: ProblemData, t_values: list, h_direction: ScalarField,
@@ -153,7 +119,6 @@ def holder_study_g(base: ProblemData, t_values: list, h_direction: ScalarField,
     sol0 = solve_vi(base, cfg)
     rows = []
     rhos = []
-    solutions = [sol0.u]
     for t in t_values:
         if t == 0.0 or h_inf == 0.0:
             rows.append([t, 0.0, 0.0, "skipped"])
@@ -161,18 +126,17 @@ def holder_study_g(base: ProblemData, t_values: list, h_direction: ScalarField,
         thr = Threshold(ScalarField(
             base.grid, base.g.g.values + t * h_direction.values), base.g.nu)
         sol_t = solve_vi(ProblemData(base.mask, base.sigma, base.A, base.f, thr), cfg)
-        solutions.append(sol_t.u)
         du = hsigma_norm(ScalarField(base.grid, sol_t.u.values - sol0.u.values),
                          base.sigma)
         rho = du / math.sqrt(t * h_inf)
         rhos.append((t, rho))
         rows.append([t, du, rho, "solved"])
-    kappa, witness = empirical_kappa(solutions, base, with_witness=True)
-    c_nu, f_l1 = _holder_constant(base, kappa)
+    c_inf = estimate_sup_constant(base.grid, base.mask, base.sigma)
+    c_nu, f_l1 = _holder_constant(base, c_inf)
     rho_vals = [r for _, r in rhos]
     checks = [BoundCheck("holder_bound", max(rho_vals, default=0.0), c_nu,
-                         f"C_nu = sqrt(C'_nu/a*), C'_nu = 2 kappa^2 |f|_L1^2 "
-                         f"(a*+a_*)/(a_*^2 nu), kappa={kappa:.4g}")]
+                         f"C_nu = sqrt(C'_nu/a*), C'_nu = 2 C_inf^2 |f|_L1^2 "
+                         f"(a*+a_*)/(a_*^2 nu), certified C_inf={c_inf:.4g}")]
     if len(rho_vals) >= 2:
         checks.append(BoundCheck(
             "holder_no_blowup", rho_vals[-1], 1.25 * max(rho_vals[:-1]),
@@ -188,9 +152,9 @@ def holder_study_g(base: ProblemData, t_values: list, h_direction: ScalarField,
         kind="holder_g",
         columns=["t", "du_hsigma", "rho", "status"],
         rows=rows, checks=checks,
-        constants={"C_nu": c_nu, "kappa_hat": kappa, "nu": base.g.nu,
+        constants={"C_nu": c_nu, "C_inf": c_inf, "nu": base.g.nu,
                    "f_l1": f_l1},
-        notes={"observed_exponent": exponent, "kappa_witness": witness})
+        notes={"observed_exponent": exponent})
 
 
 def sigma_limit_study(u_ref: ScalarField, sigmas: list) -> StudyReport:
@@ -257,18 +221,16 @@ def mosco_diagnostic(data: ProblemData, g_sequence: list,
     cfg = cfg or PenaltyConfig()
     sol0 = solve_vi(data, cfg)
     rows, devs, gaps = [], [], []
-    solutions = [sol0.u]
     for i, thr in enumerate(g_sequence):
         gap = float(np.abs(thr.g.values - data.g.g.values).max())
         sol_n = solve_vi(ProblemData(data.mask, data.sigma, data.A, data.f, thr), cfg)
-        solutions.append(sol_n.u)
         dev = hsigma_norm(ScalarField(data.grid, sol_n.u.values - sol0.u.values),
                           data.sigma)
         rows.append([i, gap, dev])
         devs.append(dev)
         gaps.append(gap)
-    kappa, witness = empirical_kappa(solutions, data, with_witness=True)
-    c_nu, _ = _holder_constant(data, kappa)
+    c_inf = estimate_sup_constant(data.grid, data.mask, data.sigma)
+    c_nu, _ = _holder_constant(data, c_inf)
     checks = []
     order = np.argsort(gaps)
     ordered_devs = [devs[i] for i in order]
@@ -279,9 +241,8 @@ def mosco_diagnostic(data: ProblemData, g_sequence: list,
                              "smaller threshold gap must give smaller deviation"))
     worst = max((d / math.sqrt(g) for d, g in zip(devs, gaps) if g > 0), default=0.0)
     checks.append(BoundCheck("holder_consistency", worst, c_nu,
-                             f"deviations <= C_nu * gap^(1/2), kappa={kappa:.4g}"))
+                             f"deviations <= C_nu * gap^(1/2), certified C_inf={c_inf:.4g}"))
     return StudyReport(
         kind="mosco_diagnostic", columns=["case", "g_gap_inf", "dev_hsigma"],
         rows=rows, checks=checks,
-        constants={"C_nu": c_nu, "kappa_hat": kappa},
-        notes={"kappa_witness": witness})
+        constants={"C_nu": c_nu, "C_inf": c_inf})

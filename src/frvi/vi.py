@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, bicgstab, cg
@@ -29,7 +29,9 @@ from .fields import (
 from .fracgrad import (
     apply_symbol,
     assert_supported,
+    certified_spectrum,
     grad_arrays,
+    gradient_matrix,
     hsigma_norm,
     multiplier_table,
     neg_div_arrays,
@@ -43,6 +45,11 @@ EPS_FLOOR = 0.038
 # Relative tolerance of each Newton system's Krylov solve: the forcing term
 # of inexact Newton (see solve_penalized).
 NEWTON_FORCING = 1e-2
+
+# Newton systems are assembled and solved densely when N * num_nodes * m^2
+# (the flops of one assembly, m inside nodes) is at most this; above it the
+# matrix-free Krylov path is faster (README "Numerical notes").
+DENSE_NEWTON_BUDGET = 2**23
 
 
 class SolverDivergence(RuntimeError):
@@ -277,9 +284,41 @@ def penalized_residual(u: ScalarField, data: ProblemData, eps: float) -> ScalarF
     return ScalarField(data.grid, sys.unpack(sys.residual(sys.pack(u.values))))
 
 
+def _dense_gradient(mask: DomainMask, sigma: float) -> np.ndarray | None:
+    """gradient_matrix for the dense Newton path, or None when the problem
+    takes the Krylov path: N * num_nodes * m^2 above DENSE_NEWTON_BUDGET
+    (decided from the sizes alone, before anything is built), or G without
+    full column rank."""
+    grid = mask.grid
+    m = mask.num_inside
+    if grid.dim * grid.num_nodes * m * m > DENSE_NEWTON_BUDGET:
+        return None
+    return _full_rank_gradient(grid, sigma, mask.inside.tobytes())
+
+
+@lru_cache(maxsize=16)
+def _full_rank_gradient(grid: Grid, sigma: float, inside: bytes) -> np.ndarray | None:
+    """G of the mask whose inside flags are the bytes `inside`, or None when
+    G^T G (the Gram matrix) is not certified positive definite: then LU
+    would return a solution off by a kernel mode of G, as the constant and
+    Nyquist modes are on the full torus."""
+    flags = np.frombuffer(inside, dtype=bool).reshape(grid.shape)
+    G = gradient_matrix(DomainMask(grid, flags, padding_fraction=0.0), sigma)
+    if certified_spectrum(G.T @ G) is None:
+        return None
+    G.flags.writeable = False
+    return G
+
+
 class _PenalizedSystem:
-    """Matrix-free residual/Jacobian of the penalized problem restricted to
-    the inside nodes, built on the applied coefficient data.A.applied."""
+    """Residual and Jacobian of the penalized problem restricted to the
+    inside nodes, built on the applied coefficient data.A.applied.
+
+    Small problems (see _dense_gradient) hold the dense restricted gradient
+    G: then w = G x, the residual is G^T flux - f, and each Newton system
+    J = sum_ij G_i^T diag(c_ij) G_j is assembled and solved exactly by LU.
+    Every other problem is matrix-free: transforms for G and G^T, and
+    preconditioned CG or BiCGSTAB for the Newton systems."""
 
     def __init__(self, data: ProblemData, eps: float):
         self.data = data
@@ -290,6 +329,7 @@ class _PenalizedSystem:
         self.m = int(self.inside.sum())
         self.g = data.g.g.values
         self.f_inside = data.f.values[self.inside]
+        self.G = _dense_gradient(data.mask, data.sigma)
 
     def unpack(self, x: np.ndarray) -> np.ndarray:
         full = np.zeros(self.grid.shape)
@@ -299,40 +339,91 @@ class _PenalizedSystem:
     def pack(self, full: np.ndarray) -> np.ndarray:
         return full[self.inside]
 
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        """D^sigma E x, stacked as (N, *grid.shape)."""
+        if self.G is None:
+            return grad_arrays(self.unpack(x), self.grid, self.data.sigma)
+        return (self.G @ x).reshape((self.grid.dim,) + self.grid.shape)
+
+    def neg_div(self, flux: np.ndarray) -> np.ndarray:
+        """P(-div^sigma flux) on the inside nodes: the adjoint of gradient."""
+        if self.G is None:
+            return self.pack(neg_div_arrays(flux, self.grid, self.data.sigma))
+        return self.G.T @ flux.reshape(-1)
+
     def residual(self, x: np.ndarray) -> np.ndarray:
-        return self.residual_of_grad(grad_arrays(self.unpack(x), self.grid, self.data.sigma))
+        return self.residual_of_grad(self.gradient(x))
 
     def residual_of_grad(self, w: np.ndarray) -> np.ndarray:
         """Residual of the iterate whose fractional gradient is w."""
         k = penalty_value(magnitude(w) - self.g, self.eps)
         flux = k[None, ...] * w + self.A.apply(w)
-        r = neg_div_arrays(flux, self.grid, self.data.sigma)
-        return self.pack(r) - self.f_inside
+        return self.neg_div(flux) - self.f_inside
+
+    def linearization(self, w: np.ndarray) -> tuple:
+        """Pointwise (k, k'/|w|) of the penalized flux at the gradient w:
+        its generalized derivative maps dw to C dw with the nodewise matrix
+        c_ij = k delta_ij + (k'/|w|) w_i w_j + A_ij."""
+        mag = magnitude(w)
+        s = mag - self.g
+        safe_mag = np.where(mag > 0.0, mag, 1.0)
+        # k' = 0 wherever mag could vanish (s < 0 there)
+        return penalty_value(s, self.eps), penalty_slope(s, self.eps) / safe_mag
 
     def frozen_matvec(self, k: np.ndarray):
         """Linear operator with frozen penalty coefficient (Picard step)."""
         def mv(x):
-            w = grad_arrays(self.unpack(x), self.grid, self.data.sigma)
-            flux = k[None, ...] * w + self.A.apply(w)
-            return self.pack(neg_div_arrays(flux, self.grid, self.data.sigma))
+            w = self.gradient(x)
+            return self.neg_div(k[None, ...] * w + self.A.apply(w))
         return mv
 
     def jacobian_matvec(self, x: np.ndarray):
         """Generalized derivative at x of the penalized flux map."""
-        w = grad_arrays(self.unpack(x), self.grid, self.data.sigma)
-        mag = magnitude(w)
-        s = mag - self.g
-        k = penalty_value(s, self.eps)
-        kp = penalty_slope(s, self.eps)
-        safe_mag = np.where(mag > 0.0, mag, 1.0)
-        coef = kp / safe_mag  # kp = 0 wherever mag could vanish (s < 0 there)
+        w = self.gradient(x)
+        k, coef = self.linearization(w)
 
         def mv(v):
-            dw = grad_arrays(self.unpack(v), self.grid, self.data.sigma)
+            dw = self.gradient(v)
             radial = coef * np.sum(w * dw, axis=0)
             flux = k[None, ...] * dw + radial[None, ...] * w + self.A.apply(dw)
-            return self.pack(neg_div_arrays(flux, self.grid, self.data.sigma))
+            return self.neg_div(flux)
         return mv, k
+
+    def assemble(self, k: np.ndarray, w: np.ndarray | None = None,
+                 coef: np.ndarray | None = None) -> np.ndarray:
+        """Dense sum_ij G_i^T diag(c_ij) G_j, G_i the rows of component i,
+        with c_ij = k delta_ij + A_ij, plus coef w_i w_j when w is given."""
+        dim = self.grid.dim
+        eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
+        if self.A.is_scalar:
+            c = eye * (k + self.A.values)
+        else:
+            c = eye * k + np.moveaxis(self.A.values, (-2, -1), (0, 1))
+        if w is not None:
+            c = c + coef * (w[:, None] * w[None, :])
+        G = self.G.reshape(1, dim, -1, self.m)
+        weighted = np.sum(c.reshape(dim, dim, -1, 1) * G, axis=1)
+        return self.G.T @ weighted.reshape(-1, self.m)
+
+    def newton_direction(self, x: np.ndarray, rhs: np.ndarray) -> tuple:
+        """(d, info, k): d solves the Newton system J(x) d = rhs, exactly on
+        the dense path, by Krylov to relative tolerance NEWTON_FORCING
+        otherwise; info is the Krylov flag (0 when converged) and k the
+        penalty coefficient at x."""
+        if self.G is None:
+            matvec, k = self.jacobian_matvec(x)
+            d, info = self.solve_linear(matvec, rhs, k, rtol=NEWTON_FORCING)
+            return d, info, k
+        w = self.gradient(x)
+        k, coef = self.linearization(w)
+        return np.linalg.solve(self.assemble(k, w, coef), rhs), 0, k
+
+    def picard_solve(self, k: np.ndarray) -> tuple:
+        """(x, info): x solves the frozen-coefficient system
+        P(-div^sigma[(k + A) D^sigma E x]) = f, exactly on the dense path."""
+        if self.G is None:
+            return self.solve_linear(self.frozen_matvec(k), self.f_inside, k, rtol=1e-10)
+        return np.linalg.solve(self.assemble(k), self.f_inside), 0
 
     def preconditioner(self, k_mean: float):
         """Spectral inverse of the constant-coefficient surrogate."""
@@ -345,12 +436,13 @@ class _PenalizedSystem:
             return self.pack(apply_symbol(self.unpack(x), mult))
         return mv
 
-    def solve_linear(self, matvec, rhs: np.ndarray, precond, rtol: float) -> tuple:
-        """Krylov solve; returns the iterate and the solver's info flag
-        (0 when converged).  A non-converged iterate is still returned: the
+    def solve_linear(self, matvec, rhs: np.ndarray, k: np.ndarray, rtol: float) -> tuple:
+        """Krylov solve preconditioned at the mean of the penalty
+        coefficient k; returns the iterate and the solver's info flag (0
+        when converged).  A non-converged iterate is still returned: the
         line search judges it, and the caller counts it."""
         op = LinearOperator((self.m, self.m), matvec=matvec)
-        pre = LinearOperator((self.m, self.m), matvec=precond)
+        pre = LinearOperator((self.m, self.m), matvec=self.preconditioner(float(k.mean())))
         solver = cg if self.A.is_symmetric else bicgstab
         return solver(op, rhs, rtol=rtol, atol=0.0, maxiter=400, M=pre)
 
@@ -359,7 +451,11 @@ def solve_penalized(data: ProblemData, eps: float, init: ScalarField,
                     cfg: PenaltyConfig) -> ScalarField:
     """Solve the penalized quasilinear problem at fixed eps.
 
-    Damped inexact semismooth Newton: each Newton system is solved by a
+    Damped semismooth Newton.  On a small problem (N * num_nodes * m^2 at
+    most DENSE_NEWTON_BUDGET, m inside nodes) whose restricted gradient G
+    has full column rank, each Newton system is assembled from G and solved
+    exactly (forcing 0), and so is a Picard fallback's frozen system.  On
+    every other problem Newton is inexact: each system is solved by a
     Krylov method to relative tolerance NEWTON_FORCING only.  Backtracking
     accepts a step that passes either of two Armijo tests: one on the
     squared residual norm, or, when the applied coefficient is symmetric,
@@ -394,12 +490,10 @@ def _solve_penalized_impl(data: ProblemData, eps: float, init: ScalarField,
         history.append(res_sup)
         if res_sup <= tol:
             return ScalarField(data.grid, sys.unpack(x)), it
-        matvec, k = sys.jacobian_matvec(x)
-        precond = sys.preconditioner(float(k.mean()))
         # solve for d / 2^e with 2^e near res_sup: an exact scaling that
         # keeps the Krylov norms of a residual beyond 1e154 representable
         scale = math.ldexp(1.0, min(math.frexp(res_sup)[1], 1023))
-        d, info = sys.solve_linear(matvec, -r / scale, precond, rtol=NEWTON_FORCING)
+        d, info, k = sys.newton_direction(x, -r / scale)
         d *= scale
         nonconverged += info != 0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -423,8 +517,7 @@ def _solve_penalized_impl(data: ProblemData, eps: float, init: ScalarField,
         if accepted:
             continue
         # Picard fallback: frozen-coefficient solve, small safe steps
-        frozen = sys.frozen_matvec(k)
-        x_lin, info = sys.solve_linear(frozen, sys.f_inside, precond, rtol=1e-10)
+        x_lin, info = sys.picard_solve(k)
         nonconverged += info != 0
         step = 0.5
         for _ in range(30):

@@ -11,6 +11,7 @@ from frvi.fracgrad import (
     frac_gradient,
     frac_laplacian,
     grad_arrays,
+    gradient_matrix,
     gram_matrix,
     hsigma_norm,
     multiplier_table,
@@ -173,6 +174,34 @@ def test_gram_matrix_matches_column_assembly(dim, n, sigma):
     u[m.inside] = x
     form = g.cell_volume * x @ got @ x
     assert hsigma_norm(ScalarField(g, u), sigma) ** 2 == pytest.approx(form, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim, n, sigma", [(1, 128, 0.5), (2, 16, 0.4)])
+def test_gradient_matrix_matches_impulse_gradients(dim, n, sigma):
+    # binding_1d's mask and a 16^2 box: column j is D^sigma of the unit
+    # field at the j-th inside node, and G^T is P(-div^sigma)
+    g = make_grid(dim, 2.0, n)
+    m = mask_box(g, 1.0)
+    nodes = np.argwhere(m.inside)
+    G = gradient_matrix(m, sigma)
+    assert G.shape == (dim * g.num_nodes, len(nodes))
+    ref = np.zeros(G.shape)
+    basis = np.zeros(g.shape)
+    for j, node in enumerate(nodes):
+        basis[tuple(node)] = 1.0
+        ref[:, j] = grad_arrays(basis, g, sigma).ravel()
+        basis[tuple(node)] = 0.0
+    assert np.abs(G - ref).max() <= 1e-13 * np.abs(ref).max()
+    flux = np.random.default_rng(9).normal(size=(dim,) + g.shape)
+    div = neg_div_arrays(flux, g, sigma)[m.inside]
+    assert np.abs(G.T @ flux.ravel() - div).max() <= 1e-13 * np.abs(div).max()
+
+
+def test_gradient_matrix_rejects_oversized_masks():
+    # 127^2 = 16,129 inside nodes: rejected before anything is built
+    g = make_grid(2, 2.0, 256)
+    with pytest.raises(ValueError, match="dense"):
+        gradient_matrix(mask_box(g, 1.0), 0.5)
 
 
 def test_frac_divergence_zero():

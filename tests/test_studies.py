@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from frvi.fields import ScalarField, lp_norm, make_grid, scalar_field, zero_field
-from frvi.fracgrad import random_band_limited
+from frvi.fracgrad import hsigma_norm, random_band_limited
 from frvi.instances import VI_CFG, small_binding_1d
+from frvi.qvi import estimate_sup_constant
 from frvi.studies import (
-    empirical_kappa,
     holder_study_g,
     lipschitz_study_f,
     mosco_diagnostic,
     penalty_trace_study,
     sigma_limit_study,
 )
-from frvi.vi import ProblemData, Threshold
+from frvi.vi import ProblemData, Threshold, sample_feasible, solve_vi
 
 
 @pytest.fixture(scope="module")
@@ -121,16 +121,24 @@ def test_mosco_decreasing_gaps(base):
     assert rep.passed
 
 
-def test_empirical_kappa_positive(base):
-    k = empirical_kappa([], base)
-    assert k > 0.0
+def test_certified_sup_constant_bounds_sampled_quotients(base):
+    # an independent lower bound on C_inf: the sup of ||u||_Linf /
+    # ||u||_Hsigma over a solution and 20 sampled feasible fields
+    rng = np.random.default_rng(404)
+    fields = [solve_vi(base, VI_CFG).u]
+    fields += [sample_feasible(base, rng) for _ in range(20)]
+    sampled = max(float(np.abs(u.values).max()) / hsigma_norm(u, base.sigma)
+                  for u in fields)
+    c_inf = estimate_sup_constant(base.grid, base.mask, base.sigma)
+    assert sampled > 0.0
+    assert c_inf >= sampled
 
 
-def test_empirical_kappa_running_sup_never_decreases(base):
-    k_small, w = empirical_kappa([], base, extra_samples=10, with_witness=True)
-    k_large = empirical_kappa([w], base, extra_samples=25)
-    assert k_large >= k_small
-    assert w is not None
+def test_studies_report_the_certified_sup_constant(base):
+    rep = lipschitz_study_f(base, [ScalarField(base.grid, 0.1 * base.f.values)], VI_CFG)
+    c_inf = estimate_sup_constant(base.grid, base.mask, base.sigma)
+    assert rep.constants["C_inf"] == c_inf
+    assert rep.checks[1].bound == c_inf / base.A.a_star
 
 
 def test_study_csv_deterministic(tmp_path, base):

@@ -8,6 +8,7 @@ import frvi.vi
 from frvi.fields import (
     ScalarField,
     full_torus,
+    magnitude,
     lp_norm,
     make_grid,
     mask_box,
@@ -21,13 +22,17 @@ from frvi.fracgrad import (
     random_band_limited,
 )
 from frvi.instances import (
+    QVI_INNER_CFG,
+    QVI_OUTER_TOL,
     VI_CFG,
     binding_1d,
     binding_2d,
     inactive_1d,
     nonsymmetric_2d,
+    qvi_kernel_1d,
     small_binding_1d,
 )
+from frvi.qvi import solve_qvi
 from frvi.vi import (
     EPS_FLOOR,
     EllipticCoefficients,
@@ -201,6 +206,93 @@ def _count_krylov(monkeypatch):
             return _solver(*args, **kwargs)
         monkeypatch.setattr(frvi.vi, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("instance", [binding_1d, small_binding_1d, inactive_1d])
+def test_shipped_1d_instances_make_no_krylov_solves(monkeypatch, instance):
+    calls = _count_krylov(monkeypatch)
+    solve_vi(instance(), VI_CFG)
+    assert calls == {"cg": 0, "bicgstab": 0}
+
+
+def test_qvi_solve_makes_no_krylov_solves(monkeypatch):
+    calls = _count_krylov(monkeypatch)
+    inst = qvi_kernel_1d()
+    sol = solve_qvi(inst.problem, inst.operator, QVI_INNER_CFG, outer_tol=QVI_OUTER_TOL)
+    assert sol.converged
+    assert calls == {"cg": 0, "bicgstab": 0}
+
+
+def _full_torus_problem():
+    # the data of test_solve_penalized_spectral_regression: G has the
+    # constant and Nyquist modes in its kernel, so it fails the rank test
+    g = make_grid(1, math.pi, 64)
+    x = g.axis()
+    f = ScalarField(g, 2.0 ** 1.0 * 0.5 * np.sin(2.0 * x))
+    gval = 2.0 * 2.0 ** -0.5
+    return ProblemData(full_torus(g), 0.5, identity_coefficients(g), f,
+                       Threshold(scalar_field(g, gval), gval))
+
+
+@pytest.mark.parametrize("instance", [binding_2d, nonsymmetric_2d, _full_torus_problem])
+def test_large_and_rank_deficient_problems_keep_the_krylov_path(monkeypatch, instance):
+    # one Newton step shows the path; 2D binding at 64^2 would need a
+    # 63 MB dense G
+    calls = _count_krylov(monkeypatch)
+    data = instance()
+    try:
+        solve_penalized(data, 0.5, zero_field(data.grid), PenaltyConfig(newton_max=1))
+    except SolverDivergence:
+        pass
+    assert calls["cg"] + calls["bicgstab"] > 0
+
+
+def test_dense_and_krylov_paths_agree_on_binding_1d(monkeypatch):
+    data = binding_1d()
+    dense = solve_vi(data, VI_CFG, diag_trials=0).u.values
+    monkeypatch.setattr(frvi.vi, "DENSE_NEWTON_BUDGET", 0)
+    calls = _count_krylov(monkeypatch)
+    krylov = solve_vi(data, VI_CFG, diag_trials=0).u.values
+    assert calls["cg"] > 0
+    assert np.abs(dense - krylov).max() <= 1e-6 * np.abs(krylov).max()
+
+
+def _near_threshold_iterate(sys, data, seed):
+    """A smooth iterate whose gradient peaks 1 above the threshold, so the
+    penalty is inactive, active and on its exponential branch at different
+    nodes."""
+    bump = np.cos(0.5 * np.pi * data.grid.coordinates()[0]) ** 2
+    for axis in data.grid.coordinates()[1:]:
+        bump = bump * np.cos(0.5 * np.pi * axis) ** 2
+    noise = np.random.default_rng(seed).normal(size=data.grid.shape)
+    x = sys.pack(bump * (1.0 + 0.1 * noise))
+    peak = float(magnitude(sys.gradient(x)).max())
+    return x * (float(data.g.g.values.max()) + 1.0) / peak
+
+
+def _variable_skew_box_16():
+    grid = make_grid(2, 2.0, 16)
+    skew = 0.3 * np.cos(0.5 * np.pi * grid.coordinates()[0])
+    f = ScalarField(grid, np.zeros(grid.shape))
+    return ProblemData(mask_box(grid, 1.0), 0.4, _skew_coefficients(grid, skew), f,
+                       Threshold(scalar_field(grid, 5.0), 5.0))
+
+
+@pytest.mark.parametrize("instance", [binding_1d, _variable_skew_box_16])
+def test_assembled_jacobian_matches_jacobian_matvec(instance):
+    data = instance()
+    sys = _PenalizedSystem(data, 0.3)
+    assert sys.G is not None
+    x = _near_threshold_iterate(sys, data, seed=4)
+    w = sys.gradient(x)
+    k, coef = sys.linearization(w)
+    assert (k == 0.0).any() and (coef > 0.0).any()
+    matvec, _ = sys.jacobian_matvec(x)
+    columns = np.column_stack([matvec(e) for e in np.eye(sys.m)])
+    J = sys.assemble(k, w, coef)
+    assert np.abs(J - columns).max() <= 1e-12 * np.abs(columns).max()
+    frozen = np.column_stack([sys.frozen_matvec(k)(e) for e in np.eye(sys.m)])
+    assert np.abs(sys.assemble(k) - frozen).max() <= 1e-12 * np.abs(frozen).max()
 
 
 def test_nonsymmetric_2d_runs_cg_only(monkeypatch):
@@ -433,7 +525,7 @@ def test_divergence_counts_nonconverged_krylov_solves(monkeypatch):
     def never_converges(*args, **kwargs):
         return np.zeros_like(args[1]), 1
     monkeypatch.setattr(frvi.vi, "cg", never_converges)
-    data = small_binding_1d()
+    data = binding_2d()  # above DENSE_NEWTON_BUDGET: the Krylov path
     cfg = PenaltyConfig(newton_tol=1e-13, newton_max=1)
     with pytest.raises(SolverDivergence) as err:
         solve_penalized(data, 0.04, zero_field(data.grid), cfg)
