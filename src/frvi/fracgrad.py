@@ -28,6 +28,11 @@ restricted fractional gradient, which the semismooth Newton solver
 assembles its Jacobians from).  Each comes from one transform of an
 impulse, gathered at the wrapped node differences, since every multiplier
 is translation invariant on the torus.
+
+Sampled diagnostics draw and transform their random fields as the rows of
+one (count, *grid.shape) stack, transformed in stacks of at most
+max(1, STACK_NODE_LIMIT // num_nodes) rows (stack_slices); each row is
+bitwise what a lone call gives.
 """
 
 from __future__ import annotations
@@ -44,6 +49,11 @@ from .fields import DomainMask, Grid, ScalarField, VectorField, lp_norm
 
 QUADRATURE_NODE_LIMIT = 4096
 DENSE_UNKNOWN_LIMIT = 4096
+
+# Grid values per stacked transform of sampled fields: every 1D sample of a
+# diagnostic fits one stack, while at 64^2 a stack holds one row, because
+# taller 2D stacks cost more per row (README "Numerical notes").
+STACK_NODE_LIMIT = 2**12
 
 
 @dataclass(frozen=True)
@@ -155,6 +165,23 @@ def grad_arrays(values: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
     return _inverse(spec, grid.shape)
 
 
+def stack_slices(grid: Grid, count: int) -> list:
+    """Consecutive slices cutting `count` stacked sampled fields on grid into
+    stacks of at most max(1, STACK_NODE_LIMIT // num_nodes) rows."""
+    rows = max(1, STACK_NODE_LIMIT // grid.num_nodes)
+    return [slice(i, min(i + rows, count)) for i in range(0, count, rows)]
+
+
+def grad_stack(values: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
+    """grad_arrays of a (count, *grid.shape) stack of sampled fields, one
+    transform per stack_slices stack; row i is bitwise
+    grad_arrays(values[i], grid, sigma)."""
+    out = np.empty((len(values), grid.dim) + grid.shape)
+    for part in stack_slices(grid, len(values)):
+        out[part] = grad_arrays(values[part], grid, sigma)
+    return out
+
+
 def neg_div_arrays(w: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
     """Negative fractional divergence of a stacked (N, *grid.shape) array,
     the adjoint of grad_arrays.
@@ -246,10 +273,15 @@ def gradient_matrix(mask: DomainMask, sigma: float) -> np.ndarray:
     an impulse at node 0, shifted to the inside node x_j: the row of node y
     reads K((y - x_j) mod n).  G^T is P(-div^sigma) with P the restriction
     to the inside nodes, and G^T G is gram_matrix's M to round-off.  Dense,
-    so limited to DENSE_UNKNOWN_LIMIT inside nodes.
+    so limited to DENSE_UNKNOWN_LIMIT inside nodes and to
+    DENSE_UNKNOWN_LIMIT^2 entries, the size of the largest Gram matrix.
     """
     m = _check_dense_limit(mask)
     grid = mask.grid
+    entries = grid.dim * grid.num_nodes * m
+    if entries > DENSE_UNKNOWN_LIMIT**2:
+        raise ValueError(f"too many entries for a dense gradient matrix "
+                         f"({entries}, limit {DENSE_UNKNOWN_LIMIT**2})")
     kernel = grad_arrays(_impulse(grid), grid, as_sigma(sigma)).reshape(grid.dim, -1)
     nodes = np.indices(grid.shape).reshape(grid.dim, -1).T
     index = _wrapped_difference_index(nodes, np.argwhere(mask.inside), grid.resolution)
@@ -349,9 +381,18 @@ def quadrature_frac_gradient(u: ScalarField, order: FracOrder | float) -> Vector
     return VectorField(grid, comps)
 
 
-def random_band_limited(grid: Grid, rng: np.random.Generator,
-                        kmax: int | None = None, amplitude: float = 1.0) -> ScalarField:
-    """Random real field with integer modes |k_j| <= kmax, unit sup norm scale."""
+def band_limited_stack(grid: Grid, rng: np.random.Generator, count: int,
+                       kmax: int | None = None,
+                       amplitude: float = 1.0) -> np.ndarray:
+    """`count` random real fields with integer modes |k_j| <= kmax and zero
+    mean, each scaled to sup norm `amplitude`, as a (count, *grid.shape)
+    stack.
+
+    All normals come from one rng.normal(size=(count, 2, *grid.shape))
+    call, the real then the imaginary part of each row's spectrum, which
+    is the order of `count` lone draws; so row i is bitwise the i-th of
+    `count` successive random_band_limited calls.
+    """
     n = grid.resolution
     if kmax is None:
         kmax = max(1, n // 8)
@@ -360,11 +401,21 @@ def random_band_limited(grid: Grid, rng: np.random.Generator,
     keep = keep1d
     for _ in range(grid.dim - 1):
         keep = keep[..., None] & keep1d
-    spec = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    spec[~keep] = 0.0
-    spec[(0,) * grid.dim] = 0.0  # zero mean
-    v = np.fft.ifftn(spec).real
-    peak = np.abs(v).max()
-    if peak > 0:
-        v = v * (amplitude / peak)
-    return ScalarField(grid, v)
+    keep[(0,) * grid.dim] = False  # zero mean
+    normals = rng.normal(size=(count, 2) + grid.shape)
+    spec = normals[:, 0] + 1j * normals[:, 1]
+    np.copyto(spec, 0.0, where=~keep)
+    axes = tuple(range(1, grid.dim + 1))
+    v = np.empty((count,) + grid.shape)
+    for part in stack_slices(grid, count):
+        v[part] = np.fft.ifftn(spec[part], axes=axes).real
+    peak = np.abs(v).max(axis=axes, keepdims=True)
+    scale = np.divide(amplitude, peak, out=np.ones_like(peak), where=peak > 0)
+    return v * scale
+
+
+def random_band_limited(grid: Grid, rng: np.random.Generator,
+                        kmax: int | None = None, amplitude: float = 1.0) -> ScalarField:
+    """Random real field with integer modes |k_j| <= kmax, unit sup norm
+    scale: row 0 of a one-row band_limited_stack."""
+    return ScalarField(grid, band_limited_stack(grid, rng, 1, kmax, amplitude)[0])

@@ -119,7 +119,11 @@ def oracle_solve_vi(data: ProblemData, rho: float = 1.0, tol: float = 1e-9,
     since_refactor = 0
     for it in range(max_iter):
         rhs = f_in + neg_div_arrays(w - y, grid, sigma)[inside] * rho
-        x = cho_solve(factor, rhs)
+        # cho_factor checked the matrix; rescanning its factor on every
+        # iteration cost a third of each solve, so only the m-vector is checked
+        if not np.isfinite(rhs).all():
+            raise ValueError("array must not contain infs or NaNs")
+        x = cho_solve(factor, rhs, check_finite=False)
         u_vals = np.zeros(grid.shape)
         u_vals[inside] = x
         du = grad_arrays(u_vals, grid, sigma)

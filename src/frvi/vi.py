@@ -29,13 +29,15 @@ from .fields import (
 from .fracgrad import (
     apply_symbol,
     assert_supported,
+    band_limited_stack,
     certified_spectrum,
     grad_arrays,
+    grad_stack,
     gradient_matrix,
     hsigma_norm,
     multiplier_table,
     neg_div_arrays,
-    random_band_limited,
+    stack_slices,
 )
 
 # Penalty parameter floor: exp(1/eps^2) must stay below the largest double
@@ -593,25 +595,38 @@ def _smooth_bump(mask: DomainMask) -> np.ndarray:
     return mask.inside.astype(float)
 
 
+def feasible_stack(data: ProblemData, rng: np.random.Generator, count: int,
+                   kmax: int | None = None) -> np.ndarray:
+    """`count` random members of the constraint set as the rows of a
+    (count, *grid.shape) stack: band-limited fields (band_limited_stack)
+    shaped into Omega, each scaled so that its peak |D^sigma| is 0.8 min g,
+    then shrunk by nu/(nu+eta) with eta its feasibility excess.
+
+    Row i is bitwise the i-th of `count` successive sample_feasible calls:
+    the scalings are elementwise and each row's gradient is a lone one.
+    """
+    grid = data.grid
+    axes = tuple(range(1, grid.dim + 1))
+    row = (slice(None),) + (None,) * grid.dim  # a per-row scalar over the grid
+    shaped = band_limited_stack(grid, rng, count, kmax=kmax) * _smooth_bump(data.mask)
+    if data.mask.is_full:
+        shaped = shaped - shaped.reshape(count, grid.num_nodes).mean(axis=1)[row]
+    # aim near the constraint surface so directions are informative
+    w = grad_stack(shaped, grid, data.sigma)
+    mag_max = magnitude(w.swapaxes(0, 1)).max(axis=axes)
+    aim = 0.8 * float(data.g.g.values.min())
+    shaped = shaped * np.divide(aim, mag_max, out=np.ones_like(mag_max),
+                                where=mag_max > 0)[row]
+    w = grad_stack(shaped, grid, data.sigma)
+    eta = np.maximum((magnitude(w.swapaxes(0, 1)) - data.g.g.values).max(axis=axes), 0.0)
+    return (data.g.nu / (data.g.nu + eta))[row] * shaped
+
+
 def sample_feasible(data: ProblemData, rng: np.random.Generator,
                     kmax: int | None = None) -> ScalarField:
-    """Random member of the constraint set: band-limited field shaped into
-    Omega, then shrunk by nu/(nu+eta) with eta its feasibility excess."""
-    grid = data.grid
-    z = random_band_limited(grid, rng, kmax=kmax)
-    shaped = z.values * _smooth_bump(data.mask)
-    if data.mask.is_full:
-        shaped = shaped - shaped.mean()
-    # aim near the constraint surface so directions are informative
-    probe = ScalarField(grid, shaped)
-    w = grad_arrays(probe.values, grid, data.sigma)
-    mag_max = float(magnitude(w).max())
-    if mag_max > 0:
-        shaped = shaped * (0.8 * float(data.g.g.values.min()) / mag_max)
-        probe = ScalarField(grid, shaped)
-    eta = feasibility_violation(probe, data)
-    factor = data.g.nu / (data.g.nu + eta)
-    return ScalarField(grid, factor * shaped)
+    """Random member of the constraint set: row 0 of a one-row
+    feasible_stack."""
+    return ScalarField(data.grid, feasible_stack(data, rng, 1, kmax)[0])
 
 
 def shrink_to_feasible(u: ScalarField, data: ProblemData) -> ScalarField:
@@ -642,22 +657,32 @@ def _shrink_with_grad(u: ScalarField, data: ProblemData,
 def vi_residual(u: ScalarField, data: ProblemData, trials: int = 64,
                 seed: int = 0) -> float:
     """Minimum of <A D^sigma u, D^sigma(v-u)> - <f, v-u> over sampled
-    feasible v; nonnegative (within tolerance) iff u solves the problem."""
+    feasible v; nonnegative (within tolerance) iff u solves the problem.
+
+    The candidates v are 0, shrink_to_feasible(u) and `trials` sampled
+    fields, drawn and transformed as stack_slices stacks of feasible_stack
+    rows.  Each value is bitwise what a lone evaluation gives: the pairing
+    sums a C-contiguous row, and the source term is a dot product per row.
+    """
     rng = np.random.default_rng(seed)
     grid = data.grid
     w = grad_arrays(u.values, grid, data.sigma)
     Aw = data.A.apply(w)
     hN = grid.cell_volume
+    f = data.f.values.ravel()
 
-    def functional(v_vals: np.ndarray) -> float:
-        dv = grad_arrays(v_vals - u.values, grid, data.sigma)
-        return hN * float(np.sum(Aw * dv)) - hN * float(
-            np.dot(data.f.values.ravel(), (v_vals - u.values).ravel()))
+    def functionals(vs: np.ndarray) -> list:
+        dvs = vs - u.values
+        products = Aw * grad_stack(dvs, grid, data.sigma)
+        pairings = products.reshape(len(vs), Aw.size).sum(axis=1)
+        return [hN * float(p) - hN * float(np.dot(f, dv.ravel()))
+                for p, dv in zip(pairings, dvs)]
 
-    candidates = [np.zeros(grid.shape), _shrink_with_grad(u, data, w)[0].values]
-    for _ in range(trials):
-        candidates.append(sample_feasible(data, rng).values)
-    return min(functional(v) for v in candidates)
+    fixed = np.stack([np.zeros(grid.shape), _shrink_with_grad(u, data, w)[0].values])
+    values = functionals(fixed)
+    for part in stack_slices(grid, trials):
+        values += functionals(feasible_stack(data, rng, part.stop - part.start))
+    return min(values)
 
 
 def _trace_row(data: ProblemData, u: ScalarField, eps: float,

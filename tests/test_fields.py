@@ -1,7 +1,12 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from frvi.fields import (
     ScalarField,
@@ -221,6 +226,67 @@ def test_fvf_rejects_damaged_file(tmp_path, damage):
     p.write_bytes(damage(p.read_bytes()))
     with pytest.raises(ValueError, match="damaged.fvf"):
         read_fvf(p)
+
+
+# -- FVF properties: deterministic examples, so Tier-1 stays repeatable ------------
+
+FVF_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+@st.composite
+def fvf_fields(draw, vector):
+    dim = draw(st.integers(2, 3) if vector else st.integers(1, 3))
+    n = draw(st.sampled_from([8, 16] if dim < 3 else [8]))
+    extent = draw(st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
+    grid = make_grid(dim, extent, n)
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    comps = [draw(arrays(np.float64, grid.shape, elements=values))
+             for _ in range(dim if vector else 1)]
+    return VectorField(grid, tuple(comps)) if vector else ScalarField(grid, comps[0])
+
+
+def _fvf_bytes(field) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.fvf"
+        write_fvf(path, field)
+        return path.read_bytes()
+
+
+def _read_fvf_bytes(raw: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.fvf"
+        path.write_bytes(raw)
+        return read_fvf(path)
+
+
+@FVF_SETTINGS
+@given(field=st.one_of(fvf_fields(vector=False), fvf_fields(vector=True)))
+def test_fvf_roundtrip_is_bit_exact_for_any_field(field):
+    back = _read_fvf_bytes(_fvf_bytes(field))
+    assert type(back) is type(field)
+    assert back.grid == field.grid
+    if isinstance(field, ScalarField):
+        assert back.values.tobytes() == field.values.tobytes()
+    else:
+        assert [c.tobytes() for c in back.components] == [
+            c.tobytes() for c in field.components]
+
+
+@FVF_SETTINGS
+@given(field=fvf_fields(vector=True), cut=st.integers(1, 10**6))
+def test_fvf_truncated_anywhere_raises(field, cut):
+    raw = _fvf_bytes(field)
+    with pytest.raises(ValueError):
+        _read_fvf_bytes(raw[:len(raw) - 1 - cut % len(raw)])
+
+
+@FVF_SETTINGS
+@given(field=fvf_fields(vector=False),
+       magic=st.binary(min_size=4, max_size=4).filter(lambda m: m != b"FVF1"))
+def test_fvf_with_another_magic_raises(field, magic):
+    raw = _fvf_bytes(field)
+    with pytest.raises(ValueError, match="not an FVF1 file"):
+        _read_fvf_bytes(magic + raw[4:])
 
 
 def test_csv_deterministic(tmp_path):

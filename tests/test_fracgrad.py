@@ -1,16 +1,20 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from frvi.fields import ScalarField, VectorField, inner, lp_norm, make_grid, mask_box
 from frvi.fracgrad import (
+    STACK_NODE_LIMIT,
     FracOrder,
     apply_symbol,
+    band_limited_stack,
     frac_divergence,
     frac_gradient,
     frac_laplacian,
     grad_arrays,
+    grad_stack,
     gradient_matrix,
     gram_matrix,
     hsigma_norm,
@@ -20,7 +24,9 @@ from frvi.fracgrad import (
     random_band_limited,
     riesz_constant,
     riesz_potential,
+    stack_slices,
 )
+from frvi.instances import binding_1d, binding_2d
 
 
 def mode_grid(n=64):
@@ -198,10 +204,15 @@ def test_gradient_matrix_matches_impulse_gradients(dim, n, sigma):
 
 
 def test_gradient_matrix_rejects_oversized_masks():
-    # 127^2 = 16,129 inside nodes: rejected before anything is built
-    g = make_grid(2, 2.0, 256)
-    with pytest.raises(ValueError, match="dense"):
-        gradient_matrix(mask_box(g, 1.0), 0.5)
+    # 127^2 = 16,129 inside nodes; at 128^2, 63^2 = 3,969 inside nodes but
+    # 2 * 128^2 * 3,969 = 1.3e8 entries (1 GB): rejected before anything is
+    # built
+    for n in (256, 128):
+        g = make_grid(2, 2.0, n)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="dense"):
+            gradient_matrix(mask_box(g, 1.0), 0.5)
+        assert time.perf_counter() - start < 0.5
 
 
 def test_frac_divergence_zero():
@@ -355,3 +366,59 @@ def test_quadrature_rejects_large_grid():
     g = make_grid(1, 1.0, 8192)
     with pytest.raises(ValueError, match="too large"):
         quadrature_frac_gradient(ScalarField(g, np.zeros(g.shape)), 0.5)
+
+
+# -- stacked sampling -----------------------------------------------------------
+
+
+def _lone_band_limited(grid, rng, kmax=None, amplitude=1.0):
+    """The sequential draw that band_limited_stack stacks: one field, two
+    rng.normal calls, one inverse transform."""
+    n = grid.resolution
+    if kmax is None:
+        kmax = max(1, n // 8)
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    keep1d = np.abs(k) <= kmax
+    keep = keep1d
+    for _ in range(grid.dim - 1):
+        keep = keep[..., None] & keep1d
+    spec = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    spec[~keep] = 0.0
+    spec[(0,) * grid.dim] = 0.0
+    v = np.fft.ifftn(spec).real
+    peak = np.abs(v).max()
+    if peak > 0:
+        v = v * (amplitude / peak)
+    return v
+
+
+@pytest.mark.parametrize("instance", [binding_1d, binding_2d])
+@pytest.mark.parametrize("kmax, amplitude", [(None, 1.0), (3, 2.5)])
+def test_band_limited_stack_rows_are_sequential_lone_draws(instance, kmax, amplitude):
+    grid = instance().grid
+    count = 2 * max(1, STACK_NODE_LIMIT // grid.num_nodes) + 3  # three stacks
+    lone_rng, stack_rng = np.random.default_rng(7), np.random.default_rng(7)
+    lone = np.stack([_lone_band_limited(grid, lone_rng, kmax, amplitude)
+                     for _ in range(count)])
+    stack = band_limited_stack(grid, stack_rng, count, kmax, amplitude)
+    assert stack.shape == (count,) + grid.shape
+    assert stack.tobytes() == lone.tobytes()
+    assert stack_rng.random() == lone_rng.random()  # same draws consumed
+    one = random_band_limited(grid, np.random.default_rng(7), kmax, amplitude)
+    assert one.values.tobytes() == lone[0].tobytes()
+
+
+def test_stack_slices_cap_the_grid_values_per_stack():
+    one_d, two_d = binding_1d().grid, binding_2d().grid
+    bounds = [(s.start, s.stop) for s in stack_slices(one_d, 70)]
+    assert bounds == [(0, 32), (32, 64), (64, 70)]
+    assert len(stack_slices(two_d, 5)) == 5  # one row per stack at 64^2
+    assert stack_slices(one_d, 0) == []
+
+
+def test_grad_stack_rows_are_lone_gradients():
+    grid = binding_1d().grid
+    values = np.random.default_rng(3).normal(size=(40,) + grid.shape)
+    stack = grad_stack(values, grid, 0.5)
+    lone = np.stack([grad_arrays(v, grid, 0.5) for v in values])
+    assert stack.tobytes() == lone.tobytes()

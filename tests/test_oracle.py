@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import frvi.oracle
 from frvi.fields import (
     ScalarField,
     VectorField,
@@ -152,6 +153,19 @@ def test_splitting_oracle_rejects_nonsymmetric():
                        Threshold(scalar_field(g, 1.0), 1.0))
     with pytest.raises(ValueError, match="symmetric"):
         oracle_solve_vi(data)
+
+
+def test_splitting_oracle_rejects_non_finite_right_hand_side(monkeypatch):
+    # the Cholesky factor is checked once, when formed; each iteration's
+    # right-hand side is still checked before the triangular solves
+    g = make_grid(1, 2.0, 32)
+    m = mask_box(g, 1.0)
+    data = ProblemData(m, 0.5, identity_coefficients(g), zero_field(g),
+                       Threshold(scalar_field(g, 1.0), 1.0))
+    monkeypatch.setattr(frvi.oracle, "neg_div_arrays",
+                        lambda w, grid, sigma: np.full(grid.shape, np.nan))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        oracle_solve_vi(data, max_iter=5)
 
 
 @pytest.fixture(scope="module")

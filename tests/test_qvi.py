@@ -12,7 +12,13 @@ from frvi.fields import (
     scalar_field,
     zero_field,
 )
-from frvi.fracgrad import gram_matrix, hsigma_norm, random_band_limited
+from frvi.fracgrad import (
+    band_limited_stack,
+    grad_arrays,
+    gram_matrix,
+    hsigma_norm,
+    random_band_limited,
+)
 from frvi.instances import (
     QVI_INNER_CFG,
     QVI_OUTER_TOL,
@@ -231,6 +237,34 @@ def test_certificate_linear_in_source_norm():
     assert rep0.certified
 
 
+def _lone_integral_gamma(gamma, u):
+    """IntegralGamma's value from one lone gradient."""
+    grid = gamma.mask.grid
+    du = grad_arrays(u, grid, gamma.sigma)
+    integrand = np.sqrt(1.0 + u**2 + np.sum(du * du, axis=0))
+    return gamma.eta0 + gamma.c1 * grid.cell_volume * float(
+        integrand[gamma.mask.inside].sum())
+
+
+def test_integral_gamma_values_are_lone_evaluations():
+    gamma = qvi_separated_certified().operator.gamma
+    grid = gamma.mask.grid
+    us = 40.0 * band_limited_stack(grid, np.random.default_rng(8), 70)  # three stacks
+    lone = [_lone_integral_gamma(gamma, u) for u in us]
+    assert gamma.values(us, grid).tolist() == lone
+    assert [gamma(ScalarField(grid, u)) for u in us] == lone
+
+
+def test_gamma_values_default_calls_the_functional_per_row():
+    class Peak(GammaFunctional):
+        def __call__(self, u):
+            return float(np.abs(u.values).max())
+
+    grid = binding_1d().grid
+    us = band_limited_stack(grid, np.random.default_rng(2), 3)
+    assert Peak().values(us, grid).tolist() == [float(np.abs(u).max()) for u in us]
+
+
 def test_certificate_falsifies_lying_modulus():
     inst = qvi_separated_certified()
     c_star, cp = estimated_constants_1d()
@@ -372,11 +406,12 @@ def test_only_the_first_inner_solve_runs_the_eps_schedule(monkeypatch):
 
 def test_outer_inner_solves_sample_no_feasible_fields(monkeypatch):
     count = [0]
+    feasible_stack = frvi.vi.feasible_stack
 
-    def counted(*args, **kwargs):
-        count[0] += 1
-        return sample_feasible(*args, **kwargs)
-    monkeypatch.setattr(frvi.vi, "sample_feasible", counted)
+    def counted(data, rng, rows, *args, **kwargs):
+        count[0] += rows
+        return feasible_stack(data, rng, rows, *args, **kwargs)
+    monkeypatch.setattr(frvi.vi, "feasible_stack", counted)
     inst = qvi_superposition_1d()
     sol = solve_qvi(inst.problem, inst.operator, QVI_INNER_CFG,
                     outer_tol=QVI_OUTER_TOL)

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import frvi.vi
 from frvi.fields import (
@@ -18,6 +19,7 @@ from frvi.fields import (
 from frvi.fracgrad import (
     frac_gradient,
     frac_laplacian,
+    grad_arrays,
     hsigma_norm,
     random_band_limited,
 )
@@ -43,6 +45,7 @@ from frvi.vi import (
     energy,
     extract_multiplier,
     feasibility_violation,
+    feasible_stack,
     identity_coefficients,
     multiplier_equation_residual,
     penalized_residual,
@@ -54,6 +57,7 @@ from frvi.vi import (
     solve_vi,
     vi_residual,
     _PenalizedSystem,
+    _smooth_bump,
 )
 
 
@@ -662,6 +666,74 @@ def test_vi_residual_detects_perturbed_solution(binding_solution):
     bad = ScalarField(data.grid, binding_solution.u.values + bump)
     scale = abs(binding_solution.energy) + 1.0
     assert vi_residual(bad, data, trials=64, seed=11) < -1e-3 * scale
+
+
+def _lone_sample_feasible(data, rng):
+    """The sequential sampler that feasible_stack stacks: one lone draw and
+    two lone gradients per field."""
+    grid = data.grid
+    shaped = random_band_limited(grid, rng).values * _smooth_bump(data.mask)
+    if data.mask.is_full:
+        shaped = shaped - shaped.mean()
+    mag_max = float(magnitude(grad_arrays(shaped, grid, data.sigma)).max())
+    if mag_max > 0:
+        shaped = shaped * (0.8 * float(data.g.g.values.min()) / mag_max)
+    eta = feasibility_violation(ScalarField(grid, shaped), data)
+    return data.g.nu / (data.g.nu + eta) * shaped
+
+
+def _lone_vi_residual(u, data, trials, seed):
+    """vi_residual as a loop over lone candidates, each with its own
+    gradient."""
+    rng = np.random.default_rng(seed)
+    grid = data.grid
+    Aw = data.A.apply(grad_arrays(u.values, grid, data.sigma))
+    hN = grid.cell_volume
+
+    def functional(v):
+        dv = grad_arrays(v - u.values, grid, data.sigma)
+        return hN * float(np.sum(Aw * dv)) - hN * float(
+            np.dot(data.f.values.ravel(), (v - u.values).ravel()))
+
+    candidates = [np.zeros(grid.shape), shrink_to_feasible(u, data).values]
+    candidates += [_lone_sample_feasible(data, rng) for _ in range(trials)]
+    return min(functional(v) for v in candidates)
+
+
+@pytest.mark.parametrize("instance", [binding_1d, binding_2d, _full_torus_problem])
+def test_feasible_stack_rows_are_sequential_lone_samples(instance):
+    data = instance()
+    lone_rng, stack_rng = np.random.default_rng(5), np.random.default_rng(5)
+    lone = np.stack([_lone_sample_feasible(data, lone_rng) for _ in range(35)])
+    stack = feasible_stack(data, stack_rng, 35)
+    assert stack.tobytes() == lone.tobytes()
+    assert stack_rng.random() == lone_rng.random()
+    one = sample_feasible(data, np.random.default_rng(5))
+    assert one.values.tobytes() == lone[0].tobytes()
+
+
+@pytest.mark.parametrize("instance", [binding_1d, small_binding_1d, inactive_1d,
+                                      binding_2d, nonsymmetric_2d])
+def test_vi_residual_equals_the_sequential_loop(instance):
+    data = instance()
+    # an infeasible field, so that the shrunk candidate differs from u
+    u = ScalarField(data.grid, 3.0 * sample_feasible(data, np.random.default_rng(4)).values)
+    for trials, seed in [(32, 0), (64, 11), (5, 3), (0, 0)]:
+        assert vi_residual(u, data, trials, seed) == _lone_vi_residual(u, data, trials, seed)
+
+
+def test_vi_residual_transforms_its_samples_as_stacks(monkeypatch):
+    data = binding_1d()
+    u = sample_feasible(data, np.random.default_rng(4))
+    calls = [0]
+    for module in (scipy.fft, np.fft):
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+            def counted(*args, _fn=getattr(module, name), **kwargs):
+                calls[0] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    vi_residual(u, data, trials=32, seed=0)
+    assert calls[0] <= 12  # about 200 as a loop over lone fields
 
 
 def test_energy_zero_field():
