@@ -13,6 +13,7 @@ import argparse
 import configparser
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -72,9 +73,8 @@ SUBCOMMANDS = ("solve-vi", "solve-qvi", "penalty-sweep", "study-lipschitz",
 _ALLOWED_KEYS = {
     "grid": {"dim", "extent", "resolution", "omega_halfwidth"},
     "problem": {"sigma", "coefficients", "a_star", "a_upper", "f", "g", "nu"},
-    "penalty": {"eps0", "ratio", "eps_min", "newton_tol", "newton_max", "damping"},
-    "qvi": {"variant", "phi", "gamma", "kernel", "outer", "damping",
-            "outer_tol", "outer_max"},
+    "penalty": {f.name for f in fields(PenaltyConfig)},
+    "qvi": {"variant", "phi", "gamma", "kernel", "outer", "outer_tol", "outer_max"},
     "study-lipschitz": {"deltas"},
     "study-holder": {"t_values", "h"},
     "study-sigma-limit": {"sigmas", "kmax"},
@@ -120,9 +120,12 @@ def _load_config(path: str) -> configparser.ConfigParser:
     return parser
 
 
-def _get(cfg, section, key, cast, default=None):
+_REQUIRED = object()
+
+
+def _get(cfg, section, key, cast, default=_REQUIRED):
     if not cfg.has_option(section, key):
-        if default is not None:
+        if default is not _REQUIRED:
             return default
         raise ConfigError(f"missing [{section}] {key}")
     raw = cfg.get(section, key)
@@ -237,15 +240,16 @@ def _problem_from_config(cfg, base_dir: Path) -> tuple:
         raise ConfigError("threshold lower bound violated")
     thr = _threshold_from_spec(_get(cfg, "problem", "g", str), grid, nu, base_dir)
     data = ProblemData(mask, sigma, A, f, thr)
-    pen = PenaltyConfig(
-        eps0=_get(cfg, "penalty", "eps0", float, 0.5),
-        ratio=_get(cfg, "penalty", "ratio", float, 0.6),
-        eps_min=_get(cfg, "penalty", "eps_min", float, 0.04),
-        newton_tol=_get(cfg, "penalty", "newton_tol", float, 1e-9),
-        newton_max=_get(cfg, "penalty", "newton_max", int, 80),
-        damping=_get(cfg, "penalty", "damping", float, 1.0),
-    )
+    # each set [penalty] key, cast to the type of its PenaltyConfig default
+    pen = PenaltyConfig(**_set_only({
+        f.name: _get(cfg, "penalty", f.name, type(f.default), None)
+        for f in fields(PenaltyConfig)}))
     return data, pen
+
+
+def _set_only(options: dict) -> dict:
+    """The options read with default None that the config sets."""
+    return {key: value for key, value in options.items() if value is not None}
 
 
 def _gamma_from_spec(spec: str, mask, sigma: float):
@@ -345,15 +349,18 @@ def run(config_path: str, subcommand: str, out_dir: str | None = None,
         print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
         return EXIT_CONFIG
     base_dir = Path(config_path).resolve().parent
+    # a relative output directory is taken relative to the config file
+    out = base_dir / out_dir if out_dir else None
+    load_error = None
     try:
         cfg = _load_config(config_path)
-        out = Path(out_dir or _get(cfg, "run", "out", str, "out"))
-        if not out.is_absolute():
-            out = base_dir / out
+        out = out or base_dir / _get(cfg, "run", "out", str, "out")
         seed = seed if seed is not None else _get(cfg, "run", "seed", int, 0)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if out is None:  # nowhere to log it
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        load_error = exc
 
     out.mkdir(parents=True, exist_ok=True)
     log = RunLog(out / "run.log")
@@ -361,6 +368,8 @@ def run(config_path: str, subcommand: str, out_dir: str | None = None,
               seed=seed)
     artifacts = []
     try:
+        if load_error is not None:
+            raise load_error
         status = _dispatch(subcommand, cfg, base_dir, out, seed, log, artifacts)
     except ConfigError as exc:
         log.event("error", kind="config", reason=str(exc))
@@ -388,7 +397,7 @@ def run(config_path: str, subcommand: str, out_dir: str | None = None,
 def _dispatch(subcommand, cfg, base_dir, out, seed, log, artifacts) -> int:
     if subcommand == "solve-vi":
         data, pen = _problem_from_config(cfg, base_dir)
-        sol = solve_vi(data, pen, seed=seed)
+        sol = solve_vi(data, pen)
         write_fvf(out / "u.fvf", sol.u)
         write_fvf(out / "lambda.fvf", sol.multiplier)
         write_csv(out / "diagnostics.csv", DIAG_COLUMNS, _diag_rows(sol))
@@ -403,11 +412,9 @@ def _dispatch(subcommand, cfg, base_dir, out, seed, log, artifacts) -> int:
         data, pen = _problem_from_config(cfg, base_dir)
         operator = _operator_from_config(cfg, data)
         problem = QVIProblem(data.mask, data.sigma, data.A, data.f)
-        sol = solve_qvi(
-            problem, operator, pen,
-            damping=_get(cfg, "qvi", "damping", float, 1.0),
-            outer_tol=_get(cfg, "qvi", "outer_tol", float, 1e-6),
-            outer_max=_get(cfg, "qvi", "outer_max", int, 40))
+        sol = solve_qvi(problem, operator, pen, **_set_only({
+            "outer_tol": _get(cfg, "qvi", "outer_tol", float, None),
+            "outer_max": _get(cfg, "qvi", "outer_max", int, None)}))
         write_fvf(out / "u.fvf", sol.u)
         write_fvf(out / "g_fixed.fvf", sol.g_fixed.g)
         rows = [[r.outer_iter, r.fp_residual, r.damping, r.inner_eps_final,
@@ -474,7 +481,7 @@ def _dispatch(subcommand, cfg, base_dir, out, seed, log, artifacts) -> int:
 
     if subcommand == "oracle-check":
         data, pen = _problem_from_config(cfg, base_dir)
-        sol = solve_vi(data, pen, seed=seed)
+        sol = solve_vi(data, pen)
         u_ref = oracle_solve_vi(data)
         ref_norm = hsigma_norm(u_ref, data.sigma)
         gap = hsigma_norm(ScalarField(data.grid, sol.u.values - u_ref.values),

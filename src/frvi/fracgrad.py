@@ -32,7 +32,9 @@ is translation invariant on the torus.
 Sampled diagnostics draw and transform their random fields as the rows of
 one (count, *grid.shape) stack, transformed in stacks of at most
 max(1, STACK_NODE_LIMIT // num_nodes) rows (stack_slices); each row is
-bitwise what a lone call gives.
+bitwise what a lone call gives.  The one complex transform is there:
+band_limited_stack draws a full random spectrum and takes the real part
+of numpy's complex inverse transform (np.fft.ifftn).
 """
 
 from __future__ import annotations

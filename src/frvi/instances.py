@@ -37,10 +37,8 @@ from .vi import (
     identity_coefficients,
 )
 
-VI_CFG = PenaltyConfig(eps0=0.5, ratio=0.6, eps_min=0.04,
-                       newton_tol=2e-5, newton_max=80)
-QVI_INNER_CFG = PenaltyConfig(eps0=0.5, ratio=0.6, eps_min=0.04,
-                              newton_tol=1e-7, newton_max=80)
+VI_CFG = PenaltyConfig(newton_tol=2e-5)
+QVI_INNER_CFG = PenaltyConfig(newton_tol=1e-7)
 QVI_OUTER_TOL = 1e-6
 
 

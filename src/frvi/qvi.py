@@ -399,7 +399,7 @@ class QVISolution:
 
 
 def solve_qvi(problem: QVIProblem, operator: ThresholdOperator,
-              inner_cfg: PenaltyConfig | None = None, damping: float = 1.0,
+              inner_cfg: PenaltyConfig | None = None,
               outer_tol: float = 1e-6, outer_max: int = 40,
               init: ScalarField | None = None) -> QVISolution:
     """Damped Picard iteration u <- (1-d) u + d S(f, G[u]).
@@ -408,38 +408,39 @@ def solve_qvi(problem: QVIProblem, operator: ThresholdOperator,
     whole eps schedule of inner_cfg; every later one, warm-started from the
     previous iterate, is one penalized solve at eps_min.  A warm solve that
     diverges, as one can when the threshold moved far between outer steps,
-    is run again from the same iterate along the whole schedule.  Only the
-    final solve, returned as `inner`, computes the sampled vi_residual.
+    is run again from the same iterate along the whole schedule.  The
+    sampled vi_residual runs only when a solution's vi_res is read, as that
+    of the final solve, returned as `inner`, can be.
 
-    Damping is halved after three consecutive non-decreasing fixed-point
-    residuals.  On success the returned iterate solves the constrained
-    problem for the returned fixed threshold (a final inner solve is run
-    at the converged threshold); hitting outer_max is reported as
-    non-converged, which existence theory cannot distinguish from cycling.
+    The damping d starts at 1 and is halved after three consecutive
+    non-decreasing fixed-point residuals.  On success the returned iterate
+    solves the constrained problem for the returned fixed threshold (a
+    final inner solve is run at the converged threshold); hitting outer_max
+    is reported as non-converged, which existence theory cannot distinguish
+    from cycling.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
     inner_cfg = inner_cfg or PenaltyConfig()
     warm_cfg = replace(inner_cfg, eps0=inner_cfg.eps_min)
     grid = problem.mask.grid
     u = init if init is not None else ScalarField(grid, np.zeros(grid.shape))
     trace = []
 
-    def inner_solve(g: Threshold, start: ScalarField, **kwargs) -> VISolution:
+    def inner_solve(g: Threshold, start: ScalarField) -> VISolution:
         data = problem.with_threshold(g)
         if trace:
             try:
-                return solve_vi(data, warm_cfg, init=start, **kwargs)
+                return solve_vi(data, warm_cfg, init=start)
             except SolverDivergence:
                 pass
-        return solve_vi(data, inner_cfg, init=start, **kwargs)
+        return solve_vi(data, inner_cfg, init=start)
 
+    damping = 1.0
     stall = 0
     prev_res = math.inf
     converged = False
     for it in range(1, outer_max + 1):
         g_k = operator.apply(u)
-        sol = inner_solve(g_k, u, diag_trials=0)
+        sol = inner_solve(g_k, u)
         u_next = ScalarField(grid, (1.0 - damping) * u.values + damping * sol.u.values)
         fp_res = hsigma_norm(
             ScalarField(grid, u_next.values - u.values), problem.sigma)

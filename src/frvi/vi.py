@@ -200,7 +200,6 @@ class PenaltyConfig:
     eps_min: float = 0.04
     newton_tol: float = 1e-9
     newton_max: int = 80
-    damping: float = 1.0
 
     def __post_init__(self):
         if self.eps_min < EPS_FLOOR:
@@ -210,7 +209,7 @@ class PenaltyConfig:
             raise ValueError("ratio must lie in (0, 1)")
         if not self.eps_min <= self.eps0 < 1.0:
             raise ValueError("need eps_min <= eps0 < 1")
-        if self.newton_tol <= 0 or self.newton_max < 1 or not 0 < self.damping <= 1:
+        if self.newton_tol <= 0 or self.newton_max < 1:
             raise ValueError("invalid solver controls")
 
     def schedule(self) -> list:
@@ -244,14 +243,21 @@ class PenaltyTraceRow:
 
 @dataclass
 class VISolution:
+    """Result of solve_vi on `data`; vi_res, the sampled diagnostic
+    vi_residual(u, data), is computed when first read."""
+
     u: ScalarField
     multiplier: ScalarField
     eps_final: float
     feas_violation: float
     comp_gap: float
-    vi_res: float
     energy: float | None
+    data: ProblemData = field(repr=False, compare=False)
     trace: list = field(default_factory=list)
+
+    @cached_property
+    def vi_res(self) -> float:
+        return vi_residual(self.u, self.data)
 
 
 def penalty_value(s, eps: float):
@@ -283,7 +289,8 @@ def penalized_residual(u: ScalarField, data: ProblemData, eps: float) -> ScalarF
     nodes (zero outside): -div^sigma[(k_eps + A) D^sigma u] - f."""
     assert_supported(u, data.mask)
     sys = _PenalizedSystem(data, eps)
-    return ScalarField(data.grid, sys.unpack(sys.residual(sys.pack(u.values))))
+    return ScalarField(data.grid, sys.unpack(
+        sys.residual_of_grad(sys.gradient(sys.pack(u.values)))))
 
 
 def _dense_gradient(mask: DomainMask, sigma: float) -> np.ndarray | None:
@@ -353,14 +360,20 @@ class _PenalizedSystem:
             return self.pack(neg_div_arrays(flux, self.grid, self.data.sigma))
         return self.G.T @ flux.reshape(-1)
 
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        return self.residual_of_grad(self.gradient(x))
-
     def residual_of_grad(self, w: np.ndarray) -> np.ndarray:
         """Residual of the iterate whose fractional gradient is w."""
         k = penalty_value(magnitude(w) - self.g, self.eps)
-        flux = k[None, ...] * w + self.A.apply(w)
-        return self.neg_div(flux) - self.f_inside
+        return self.neg_div(self.flux(w, k)) - self.f_inside
+
+    def flux(self, dw: np.ndarray, k: np.ndarray, w: np.ndarray | None = None,
+             coef: np.ndarray | None = None) -> np.ndarray:
+        """C dw with the nodewise c_ij = k delta_ij + A_ij, plus coef w_i w_j
+        when w is given: the penalized flux with k frozen, or with
+        (k, coef) = linearization(w) its generalized derivative at w."""
+        out = k[None, ...] * dw
+        if w is not None:
+            out = out + (coef * np.sum(w * dw, axis=0))[None, ...] * w
+        return out + self.A.apply(dw)
 
     def linearization(self, w: np.ndarray) -> tuple:
         """Pointwise (k, k'/|w|) of the penalized flux at the gradient w:
@@ -372,29 +385,11 @@ class _PenalizedSystem:
         # k' = 0 wherever mag could vanish (s < 0 there)
         return penalty_value(s, self.eps), penalty_slope(s, self.eps) / safe_mag
 
-    def frozen_matvec(self, k: np.ndarray):
-        """Linear operator with frozen penalty coefficient (Picard step)."""
-        def mv(x):
-            w = self.gradient(x)
-            return self.neg_div(k[None, ...] * w + self.A.apply(w))
-        return mv
-
-    def jacobian_matvec(self, x: np.ndarray):
-        """Generalized derivative at x of the penalized flux map."""
-        w = self.gradient(x)
-        k, coef = self.linearization(w)
-
-        def mv(v):
-            dw = self.gradient(v)
-            radial = coef * np.sum(w * dw, axis=0)
-            flux = k[None, ...] * dw + radial[None, ...] * w + self.A.apply(dw)
-            return self.neg_div(flux)
-        return mv, k
-
     def assemble(self, k: np.ndarray, w: np.ndarray | None = None,
                  coef: np.ndarray | None = None) -> np.ndarray:
-        """Dense sum_ij G_i^T diag(c_ij) G_j, G_i the rows of component i,
-        with c_ij = k delta_ij + A_ij, plus coef w_i w_j when w is given."""
+        """Dense sum_ij G_i^T diag(c_ij) G_j, G_i the rows of component i:
+        the matrix of v -> neg_div(flux(gradient(v), k, w, coef)), with the
+        same c_ij as flux."""
         dim = self.grid.dim
         eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
         if self.A.is_scalar:
@@ -407,44 +402,25 @@ class _PenalizedSystem:
         weighted = np.sum(c.reshape(dim, dim, -1, 1) * G, axis=1)
         return self.G.T @ weighted.reshape(-1, self.m)
 
-    def newton_direction(self, x: np.ndarray, rhs: np.ndarray) -> tuple:
-        """(d, info, k): d solves the Newton system J(x) d = rhs, exactly on
-        the dense path, by Krylov to relative tolerance NEWTON_FORCING
-        otherwise; info is the Krylov flag (0 when converged) and k the
-        penalty coefficient at x."""
-        if self.G is None:
-            matvec, k = self.jacobian_matvec(x)
-            d, info = self.solve_linear(matvec, rhs, k, rtol=NEWTON_FORCING)
-            return d, info, k
-        w = self.gradient(x)
-        k, coef = self.linearization(w)
-        return np.linalg.solve(self.assemble(k, w, coef), rhs), 0, k
-
-    def picard_solve(self, k: np.ndarray) -> tuple:
-        """(x, info): x solves the frozen-coefficient system
-        P(-div^sigma[(k + A) D^sigma E x]) = f, exactly on the dense path."""
-        if self.G is None:
-            return self.solve_linear(self.frozen_matvec(k), self.f_inside, k, rtol=1e-10)
-        return np.linalg.solve(self.assemble(k), self.f_inside), 0
-
-    def preconditioner(self, k_mean: float):
-        """Spectral inverse of the constant-coefficient surrogate."""
+    def solve(self, rhs: np.ndarray, k: np.ndarray, w: np.ndarray | None = None,
+              coef: np.ndarray | None = None, rtol: float = NEWTON_FORCING) -> tuple:
+        """(x, info): x solves P(-div^sigma[C D^sigma E x]) = rhs, C as in
+        flux.  Exactly by LU of assemble(k, w, coef) on the dense path;
+        otherwise by CG (BiCGSTAB for a nonsymmetric applied A) to relative
+        tolerance rtol, with info the solver's flag (0 when converged).  A
+        non-converged iterate is still returned: the line search judges it,
+        and the caller counts it.  The preconditioner is the spectral
+        inverse of the constant-coefficient surrogate at the mean of k."""
+        if self.G is not None:
+            return np.linalg.solve(self.assemble(k, w, coef), rhs), 0
+        op = LinearOperator((self.m, self.m), matvec=lambda v: self.neg_div(
+            self.flux(self.gradient(v), k, w, coef)))
         _, mag_sigma = multiplier_table(self.grid, self.data.sigma)
-        cbar = self.data.A.a_star + k_mean
+        cbar = self.data.A.a_star + float(k.mean())
         kmin = math.pi / (2.0 * self.grid.extent)
         mult = 1.0 / (cbar * (mag_sigma**2 + kmin ** (2.0 * self.data.sigma)))
-
-        def mv(x):
-            return self.pack(apply_symbol(self.unpack(x), mult))
-        return mv
-
-    def solve_linear(self, matvec, rhs: np.ndarray, k: np.ndarray, rtol: float) -> tuple:
-        """Krylov solve preconditioned at the mean of the penalty
-        coefficient k; returns the iterate and the solver's info flag (0
-        when converged).  A non-converged iterate is still returned: the
-        line search judges it, and the caller counts it."""
-        op = LinearOperator((self.m, self.m), matvec=matvec)
-        pre = LinearOperator((self.m, self.m), matvec=self.preconditioner(float(k.mean())))
+        pre = LinearOperator((self.m, self.m), matvec=lambda v: self.pack(
+            apply_symbol(self.unpack(v), mult)))
         solver = cg if self.A.is_symmetric else bicgstab
         return solver(op, rhs, rtol=rtol, atol=0.0, maxiter=400, M=pre)
 
@@ -453,23 +429,24 @@ def solve_penalized(data: ProblemData, eps: float, init: ScalarField,
                     cfg: PenaltyConfig) -> ScalarField:
     """Solve the penalized quasilinear problem at fixed eps.
 
-    Damped semismooth Newton.  On a small problem (N * num_nodes * m^2 at
-    most DENSE_NEWTON_BUDGET, m inside nodes) whose restricted gradient G
-    has full column rank, each Newton system is assembled from G and solved
-    exactly (forcing 0), and so is a Picard fallback's frozen system.  On
-    every other problem Newton is inexact: each system is solved by a
-    Krylov method to relative tolerance NEWTON_FORCING only.  Backtracking
-    accepts a step that passes either of two Armijo tests: one on the
-    squared residual norm, or, when the applied coefficient is symmetric,
-    one on the convex penalized energy phi, whose gradient is the residual
-    r: by convexity phi(x + t d) <= phi(x) + t d.r(x + t d), so
-    d.r(x + t d) <= 1e-4 d.r(x) < 0 gives sufficient decrease of phi.  A
-    space-dependent skew part makes r no gradient and keeps the residual
-    test only.  The residual test stays for symmetric coefficients too:
-    the energy test rejects a step that reaches the minimum of phi along
-    d, which is where a full Newton step lands near the solution.  Falls
-    back to frozen-coefficient (Picard) steps when backtracking stalls.
-    Converges to sup-norm residual on Omega below newton_tol * (1 +
+    Semismooth Newton, whose backtracking starts at the full step 1.  On a
+    small problem (N * num_nodes * m^2 at most DENSE_NEWTON_BUDGET, m inside
+    nodes) whose restricted gradient G has full column rank, each Newton
+    system is assembled from G and solved exactly (forcing 0), and so is a
+    Picard fallback's frozen system.  On every other problem Newton is
+    inexact: each system is solved by a Krylov method to relative tolerance
+    NEWTON_FORCING only.  Backtracking accepts a step that passes either of
+    two Armijo tests: one on the squared residual norm, or, when the
+    applied coefficient is symmetric, one on the convex penalized energy
+    phi, whose gradient is the residual r: by convexity phi(x + t d) <=
+    phi(x) + t d.r(x + t d), so d.r(x + t d) <= 1e-4 d.r(x) < 0 gives
+    sufficient decrease of phi.  A space-dependent skew part makes r no
+    gradient and keeps the residual test only.  The residual test stays for
+    symmetric coefficients too: the energy test rejects a step that reaches
+    the minimum of phi along d, which is where a full Newton step lands
+    near the solution.  Falls back to frozen-coefficient (Picard) steps,
+    backtracking from half the step to the frozen solution, when Newton's
+    backtracking stalls.  Converges to sup-norm residual on Omega below newton_tol * (1 +
     sup|f|), judged on the true residual, so the inexact directions do not
     weaken the stopping test.
     """
@@ -482,11 +459,11 @@ def _solve_penalized_impl(data: ProblemData, eps: float, init: ScalarField,
     assert_supported(init, data.mask)
     sys = _PenalizedSystem(data, eps)
     x = sys.pack(init.values)
-    f_scale = 1.0 + float(np.abs(data.f.values).max())
-    tol = cfg.newton_tol * f_scale
+    tol = cfg.newton_tol * (1.0 + float(np.abs(data.f.values).max()))
     history = []
     nonconverged = 0  # Krylov solves of this eps step that did not converge
-    r = sys.residual(x)
+    w = sys.gradient(x)
+    r = sys.residual_of_grad(w)
     for it in range(cfg.newton_max):
         res_sup = float(np.abs(r).max())
         history.append(res_sup)
@@ -495,54 +472,50 @@ def _solve_penalized_impl(data: ProblemData, eps: float, init: ScalarField,
         # solve for d / 2^e with 2^e near res_sup: an exact scaling that
         # keeps the Krylov norms of a residual beyond 1e154 representable
         scale = math.ldexp(1.0, min(math.frexp(res_sup)[1], 1023))
-        d, info, k = sys.newton_direction(x, -r / scale)
+        k, coef = sys.linearization(w)
+        d, info = sys.solve(-r / scale, k, w, coef)
         d *= scale
         nonconverged += info != 0
         with np.errstate(over="ignore", invalid="ignore"):
             merit0, slope0 = float(r @ r), float(d @ r)
-        step = cfg.damping
-        accepted = False
-        for _ in range(30):
-            x_try = x + step * d
-            r_try = sys.residual(x_try)
-            # a trial whose merit overflows is rejected: its d.r may read -inf
-            with np.errstate(over="ignore", invalid="ignore"):
-                merit, slope = float(r_try @ r_try), float(d @ r_try)
-            # residual Armijo test, or the energy one (see the docstring)
-            if math.isfinite(merit) and (
-                    merit <= (1.0 - 1e-4 * step) * merit0
-                    or (sys.A.is_symmetric and slope <= 1e-4 * slope0 < 0.0)):
-                x, r = x_try, r_try
-                accepted = True
-                break
-            step *= 0.5
-        if accepted:
-            continue
-        # Picard fallback: frozen-coefficient solve, small safe steps
-        x_lin, info = sys.picard_solve(k)
-        nonconverged += info != 0
-        step = 0.5
-        for _ in range(30):
-            x_try = x + step * (x_lin - x)
-            r_try = sys.residual(x_try)
-            with np.errstate(over="ignore", invalid="ignore"):
-                merit = float(r_try @ r_try)
-            if math.isfinite(merit) and merit < merit0:
-                x, r = x_try, r_try
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            raise SolverDivergence(
-                f"no descent at eps={eps:.4g} (residual {res_sup:.3e}, "
-                f"{nonconverged} Krylov solves not converged)",
-                iterate=ScalarField(data.grid, sys.unpack(x)), history=history,
-                krylov_nonconverged=nonconverged)
+        # residual Armijo test, or the energy one (see the docstring)
+        trial = _backtrack(sys, x, d, 1.0, lambda merit, r_try, step: (
+            merit <= (1.0 - 1e-4 * step) * merit0
+            or (sys.A.is_symmetric and float(d @ r_try) <= 1e-4 * slope0 < 0.0)))
+        if trial is None:
+            # Picard fallback: frozen-coefficient solve, small safe steps
+            x_lin, info = sys.solve(sys.f_inside, k, rtol=1e-10)
+            nonconverged += info != 0
+            trial = _backtrack(sys, x, x_lin - x, 0.5,
+                               lambda merit, r_try, step: merit < merit0)
+        if trial is None:
+            failure = f"no descent at eps={eps:.4g} (residual {res_sup:.3e}, "
+            break
+        x, w, r = trial
+    else:
+        failure = f"newton_max={cfg.newton_max} exceeded at eps={eps:.4g} ("
     raise SolverDivergence(
-        f"newton_max={cfg.newton_max} exceeded at eps={eps:.4g} "
-        f"({nonconverged} Krylov solves not converged)",
+        failure + f"{nonconverged} Krylov solves not converged)",
         iterate=ScalarField(data.grid, sys.unpack(x)), history=history,
         krylov_nonconverged=nonconverged)
+
+
+def _backtrack(sys: _PenalizedSystem, x: np.ndarray, d: np.ndarray, step: float,
+               accept) -> tuple | None:
+    """First of the trials x + step d, step halved up to 30 times, whose
+    merit r.r is finite and passes accept(merit, r, step), r the trial's
+    residual: (x_try, D^sigma x_try, r), or None when no trial passes."""
+    for _ in range(30):
+        x_try = x + step * d
+        w_try = sys.gradient(x_try)
+        r_try = sys.residual_of_grad(w_try)
+        # a trial whose merit overflows is rejected: its d.r may read -inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            merit = float(r_try @ r_try)
+            if math.isfinite(merit) and accept(merit, r_try, step):
+                return x_try, w_try, r_try
+        step *= 0.5
+    return None
 
 
 def extract_multiplier(u_eps: ScalarField, data: ProblemData, eps: float) -> ScalarField:
@@ -654,14 +627,14 @@ def _shrink_with_grad(u: ScalarField, data: ProblemData,
         factor *= 1.0 - 4.0 * np.finfo(float).eps
 
 
-def vi_residual(u: ScalarField, data: ProblemData, trials: int = 64,
+def vi_residual(u: ScalarField, data: ProblemData, trials: int = 32,
                 seed: int = 0) -> float:
     """Minimum of <A D^sigma u, D^sigma(v-u)> - <f, v-u> over sampled
     feasible v; nonnegative (within tolerance) iff u solves the problem.
 
     The candidates v are 0, shrink_to_feasible(u) and `trials` sampled
-    fields, drawn and transformed as stack_slices stacks of feasible_stack
-    rows.  Each value is bitwise what a lone evaluation gives: the pairing
+    fields, the rows of one feasible_stack, evaluated per stack_slices
+    stack.  Each value is bitwise what a lone evaluation gives: the pairing
     sums a C-contiguous row, and the source term is a dot product per row.
     """
     rng = np.random.default_rng(seed)
@@ -680,8 +653,9 @@ def vi_residual(u: ScalarField, data: ProblemData, trials: int = 64,
 
     fixed = np.stack([np.zeros(grid.shape), _shrink_with_grad(u, data, w)[0].values])
     values = functionals(fixed)
+    samples = feasible_stack(data, rng, trials)
     for part in stack_slices(grid, trials):
-        values += functionals(feasible_stack(data, rng, part.stop - part.start))
+        values += functionals(samples[part])
     return min(values)
 
 
@@ -717,8 +691,7 @@ def _trace_row(data: ProblemData, u: ScalarField, eps: float,
 
 
 def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
-             init: ScalarField | None = None, diag_trials: int = 32,
-             seed: int = 0, shrink: bool = False) -> VISolution:
+             init: ScalarField | None = None, shrink: bool = False) -> VISolution:
     """Continuation solve of the constrained problem.
 
     Runs the penalized solver along the geometric eps schedule with warm
@@ -729,17 +702,16 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
     Feasibility is only reached asymptotically along the schedule; with
     shrink=True the returned u is additionally scaled by nu/(nu + eta)
     (eta the residual excess), which makes it strictly feasible while the
-    multiplier and trace still describe the unshrunk final iterate.
+    multiplier and trace still describe the unshrunk final iterate.  The
+    sampled diagnostic of the returned u runs when its vi_res is first read.
     """
     cfg = cfg or PenaltyConfig()
     grid = data.grid
     u = init if init is not None else ScalarField(grid, np.zeros(grid.shape))
     trace = []
-    eps_final = cfg.eps0
     prev = None
     for eps in cfg.schedule():
         u, iters = _solve_penalized_impl(data, eps, u, cfg)
-        eps_final = eps
         row, k = _trace_row(data, u, eps, iters)
         trace.append(row)
         if prev is not None:
@@ -748,7 +720,6 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
             if delta < cfg.newton_tol:
                 break
         prev = u
-    lam = ScalarField(grid, k)  # the last row's k: extract_multiplier(u, data, eps_final)
     last = trace[-1]
     viol, en = last.feas_violation, last.energy
     if shrink:
@@ -757,12 +728,12 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
         en = _energy_of_grad(u, w, data) if data.A.is_symmetric else None
     return VISolution(
         u=u,
-        multiplier=lam,
-        eps_final=eps_final,
+        multiplier=ScalarField(grid, k),  # the last row's, of the unshrunk u
+        eps_final=last.eps,
         feas_violation=viol,
         comp_gap=last.comp_gap,
-        vi_res=vi_residual(u, data, trials=diag_trials, seed=seed),
         energy=en,
+        data=data,
         trace=trace,
     )
 

@@ -296,7 +296,7 @@ def test_14_determinism(tmp_path):
     def emit(tag):
         outputs = {}
         data = small_binding_1d()
-        sol = solve_vi(data, VI_CFG, seed=5)
+        sol = solve_vi(data, VI_CFG)
         rows = [[r.eps, r.newton_iters, r.residual, r.feas_violation,
                  r.comp_gap, r.norm_dsu_l2, r.k_eps_l1, r.k_eps_dsu2_l1,
                  r.energy] for r in sol.trace]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import frvi.cli
+import frvi.vi
 from frvi.cli import EXIT_CONFIG, EXIT_OK, run
 from frvi.fields import make_grid, read_fvf, scalar_field, write_fvf
 
@@ -79,14 +80,35 @@ def test_invalid_nu_exits_config_error(tmp_path, line, bad_line, reason, subcomm
 
 
 def test_unknown_key_rejected(tmp_path):
-    cfg = BINDING.read_text() + "\n[grid]\n"  # duplicate section is malformed
-    bad = tmp_path / "dup.cfg"
-    bad.write_text(cfg)
-    assert run(str(bad), "solve-vi", out_dir=str(tmp_path / "o1")) == EXIT_CONFIG
-    cfg2 = BINDING.read_text().replace("[grid]", "[grid]\nwhatever = 3")
-    bad2 = tmp_path / "unk.cfg"
-    bad2.write_text(cfg2)
-    assert run(str(bad2), "solve-vi", out_dir=str(tmp_path / "o2")) == EXIT_CONFIG
+    # rejected while the config loads, and still logged under --out
+    text = BINDING.read_text()
+    cases = [
+        ("o1", text + "\n[grid]\n", "malformed config"),  # duplicate section
+        ("o2", text.replace("[grid]", "[grid]\nwhatever = 3"), "unknown keys in [grid]"),
+        ("o3", text.replace("[penalty]", "[penalty]\ndamping = 1.0"),
+         "unknown keys in [penalty]"),  # a removed key
+        ("o4", None, "cannot read config"),
+    ]
+    for name, cfg, reason in cases:
+        bad = tmp_path / f"{name}.cfg"
+        if cfg is not None:
+            bad.write_text(cfg)
+        out = tmp_path / name
+        assert run(str(bad), "solve-vi", out_dir=str(out)) == EXIT_CONFIG, name
+        records = [json.loads(line) for line in (out / "run.log").read_text().splitlines()]
+        assert [r["event"] for r in records] == ["start", "error"], name
+        assert records[1]["kind"] == "config" and reason in records[1]["reason"], name
+        assert not (out / "manifest.csv").exists()
+
+
+def test_binding_jobs_run_no_sampled_diagnostic(tmp_path, monkeypatch):
+    # no job reads a solution's vi_res, so none pays for vi_residual
+    calls = []
+    monkeypatch.setattr(frvi.vi, "vi_residual", lambda *args, **kwargs: calls.append(args))
+    for sub in ("solve-vi", "oracle-check", "penalty-sweep", "study-lipschitz",
+                "study-holder", "study-sigma-limit", "study-mosco"):
+        assert run(str(BINDING), sub, out_dir=str(tmp_path / sub)) == EXIT_OK, sub
+    assert calls == []
 
 
 def test_unknown_subcommand_rejected(tmp_path):

@@ -1,10 +1,15 @@
 """Source-layout rules: private helpers stay inside their module, the
-Fourier transforms live in the spectral core (frvi.fracgrad) only, and
-every name the benchmark's tracer wraps still exists."""
+Fourier transforms live in the spectral core (frvi.fracgrad) only, every
+name the benchmark's tracer wraps still exists, and every config key the
+CLI accepts is read."""
 
 import ast
 import importlib.util
+from dataclasses import fields
 from pathlib import Path
+
+import frvi.cli
+from frvi.vi import PenaltyConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "frvi"
@@ -53,3 +58,19 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
         tracing.install(tracer)
     finally:
         tracer.restore()
+
+
+def test_every_cli_key_is_read():
+    # an accepted key that nothing reads would be a knob that does nothing:
+    # each must be the key argument of a _get/_get_list call in cli.py, or a
+    # PenaltyConfig field (the [penalty] keys are read field by field)
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    read = {("penalty", f.name) for f in fields(PenaltyConfig)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("_get", "_get_list")
+                and all(isinstance(a, ast.Constant) for a in node.args[1:3])):
+            read.add((node.args[1].value, node.args[2].value))
+    unread = sorted((section, key) for section, keys in frvi.cli._ALLOWED_KEYS.items()
+                    for key in keys if (section, key) not in read)
+    assert not unread, unread

@@ -388,7 +388,7 @@ def test_only_the_first_inner_solve_runs_the_eps_schedule(monkeypatch):
 
     def recorded(*args, **kwargs):
         sol = solve_vi(*args, **kwargs)
-        calls.append((kwargs.get("diag_trials", 32), sol))
+        calls.append(sol)
         return sol
     monkeypatch.setattr(frvi.qvi, "solve_vi", recorded)
     inst = qvi_kernel_1d()
@@ -396,12 +396,11 @@ def test_only_the_first_inner_solve_runs_the_eps_schedule(monkeypatch):
                     outer_tol=QVI_OUTER_TOL)
     assert len(calls) == sol.iterations + 1 >= 3
     schedule = QVI_INNER_CFG.schedule()
-    first = [row.eps for row in calls[0][1].trace]
+    first = [row.eps for row in calls[0].trace]
     assert first == schedule[:len(first)] and len(first) > 1
-    for _, inner in calls[1:]:
+    for inner in calls[1:]:
         assert [row.eps for row in inner.trace] == [QVI_INNER_CFG.eps_min]
-    assert calls[-1][1] is sol.inner
-    assert [trials for trials, _ in calls] == [0] * sol.iterations + [32]
+    assert calls[-1] is sol.inner
 
 
 def test_outer_inner_solves_sample_no_feasible_fields(monkeypatch):
@@ -416,7 +415,9 @@ def test_outer_inner_solves_sample_no_feasible_fields(monkeypatch):
     sol = solve_qvi(inst.problem, inst.operator, QVI_INNER_CFG,
                     outer_tol=QVI_OUTER_TOL)
     assert sol.iterations >= 2
-    assert count[0] == 32  # the final solve's default diagnostic only
+    assert count[0] == 0  # no solve runs the diagnostic unread
+    sol.inner.vi_res
+    assert count[0] == 32  # the final solve's diagnostic, on read
 
 
 class _DroppingThreshold(ThresholdOperator):

@@ -253,10 +253,10 @@ def test_large_and_rank_deficient_problems_keep_the_krylov_path(monkeypatch, ins
 
 def test_dense_and_krylov_paths_agree_on_binding_1d(monkeypatch):
     data = binding_1d()
-    dense = solve_vi(data, VI_CFG, diag_trials=0).u.values
+    dense = solve_vi(data, VI_CFG).u.values
     monkeypatch.setattr(frvi.vi, "DENSE_NEWTON_BUDGET", 0)
     calls = _count_krylov(monkeypatch)
-    krylov = solve_vi(data, VI_CFG, diag_trials=0).u.values
+    krylov = solve_vi(data, VI_CFG).u.values
     assert calls["cg"] > 0
     assert np.abs(dense - krylov).max() <= 1e-6 * np.abs(krylov).max()
 
@@ -291,17 +291,23 @@ def test_assembled_jacobian_matches_jacobian_matvec(instance):
     w = sys.gradient(x)
     k, coef = sys.linearization(w)
     assert (k == 0.0).any() and (coef > 0.0).any()
-    matvec, _ = sys.jacobian_matvec(x)
-    columns = np.column_stack([matvec(e) for e in np.eye(sys.m)])
+    columns = np.column_stack([sys.neg_div(sys.flux(sys.gradient(e), k, w, coef))
+                               for e in np.eye(sys.m)])
     J = sys.assemble(k, w, coef)
     assert np.abs(J - columns).max() <= 1e-12 * np.abs(columns).max()
-    frozen = np.column_stack([sys.frozen_matvec(k)(e) for e in np.eye(sys.m)])
+    frozen = np.column_stack([sys.neg_div(sys.flux(sys.gradient(e), k))
+                              for e in np.eye(sys.m)])
     assert np.abs(sys.assemble(k) - frozen).max() <= 1e-12 * np.abs(frozen).max()
+    # the dense solve is LU of the same matrix
+    rhs = np.random.default_rng(5).normal(size=sys.m)
+    d, info = sys.solve(rhs, k, w, coef)
+    assert info == 0
+    assert np.abs(columns @ d - rhs).max() <= 1e-9 * np.abs(rhs).max()
 
 
 def test_nonsymmetric_2d_runs_cg_only(monkeypatch):
     calls = _count_krylov(monkeypatch)
-    solve_vi(nonsymmetric_2d(), VI_CFG, diag_trials=0)
+    solve_vi(nonsymmetric_2d(), VI_CFG)
     assert calls["bicgstab"] == 0
     assert calls["cg"] > 0
 
@@ -337,7 +343,7 @@ def _assert_acceptance_06_07(sol, data):
 def test_binding_2d_first_continuation_step_newton_count():
     # the energy step test accepts long steps from the cold start u = 0
     # (46 Newton steps with the residual test alone)
-    sol = solve_vi(binding_2d(), VI_CFG, diag_trials=0)
+    sol = solve_vi(binding_2d(), VI_CFG)
     assert sol.trace[0].newton_iters <= 30
 
 
@@ -410,10 +416,12 @@ def test_jacobian_consistent_with_residual():
     sys = _PenalizedSystem(data, 0.3)
     x0 = np.where(m.inside, 0.4 * (1 - x**2) ** 2, 0.0)[m.inside]
     v = rng.normal(size=x0.shape)
-    matvec, _ = sys.jacobian_matvec(x0)
-    jv = matvec(v)
+    w = sys.gradient(x0)
+    k, coef = sys.linearization(w)
+    jv = sys.neg_div(sys.flux(sys.gradient(v), k, w, coef))
     t = 1e-7
-    fd = (sys.residual(x0 + t * v) - sys.residual(x0 - t * v)) / (2 * t)
+    fd = (sys.residual_of_grad(sys.gradient(x0 + t * v))
+          - sys.residual_of_grad(sys.gradient(x0 - t * v))) / (2 * t)
     assert np.abs(jv - fd).max() <= 1e-5 * (1 + np.abs(jv).max())
 
 
@@ -464,13 +472,35 @@ def test_solve_vi_shrink_flag_gives_strict_feasibility():
     assert np.allclose(sol.u.values, factor * ref.u.values, rtol=1e-12)
 
 
+def test_solve_vi_samples_nothing_until_vi_res_is_read(monkeypatch):
+    draws, diag = [0], [0]
+    real_stack, real_residual = frvi.vi.feasible_stack, frvi.vi.vi_residual
+
+    def stack(data, rng, count, *args, **kwargs):
+        draws[0] += count
+        return real_stack(data, rng, count, *args, **kwargs)
+
+    def residual(*args, **kwargs):
+        diag[0] += 1
+        return real_residual(*args, **kwargs)
+    monkeypatch.setattr(frvi.vi, "feasible_stack", stack)
+    monkeypatch.setattr(frvi.vi, "vi_residual", residual)
+    data = small_binding_1d()
+    sol = solve_vi(data, VI_CFG)
+    assert (draws[0], diag[0]) == (0, 0)
+    value = sol.vi_res
+    assert (draws[0], diag[0]) == (32, 1)
+    assert sol.vi_res is value and diag[0] == 1  # computed once
+    assert value == real_residual(sol.u, data)
+
+
 def test_shrunk_solution_reports_energy_and_residual_of_returned_field():
     # energy and vi_res of the shrunk field come from gradients formed while
     # shrinking; they equal a fresh evaluation of the returned field exactly
     for data in (small_binding_1d(), inactive_1d()):
         sol = solve_vi(data, VI_CFG, shrink=True)
         assert sol.energy == energy(sol.u, data)
-        assert sol.vi_res == vi_residual(sol.u, data, trials=32, seed=0)
+        assert sol.vi_res == vi_residual(sol.u, data)
 
 
 def test_solve_penalized_divergence_carries_history():
@@ -488,7 +518,7 @@ def test_far_off_init_at_eps_min_converges_or_diverges_without_warning():
     # is solved in scaled form and non-finite trial merits are rejected
     data = binding_1d()
     cfg = PenaltyConfig()
-    ref = solve_vi(data, cfg, diag_trials=0).u.values
+    ref = solve_vi(data, cfg).u.values
     outcomes = []
     for factor in (5.0, 50.0, -50.0, 500.0):
         init = ScalarField(data.grid, factor * ref)
@@ -509,16 +539,21 @@ def test_far_off_init_at_eps_min_converges_or_diverges_without_warning():
 def test_trial_with_overflowing_merit_is_never_accepted(monkeypatch):
     # every trial residual is -sign(x - x0) times the largest double: its
     # squared norm overflows to inf and d.r to -inf, which alone would pass
-    # the energy test
-    real = frvi.vi._PenalizedSystem.residual
-    start = []
+    # the energy test; x is the point whose gradient the residual is of
+    real_gradient = frvi.vi._PenalizedSystem.gradient
+    real_residual = frvi.vi._PenalizedSystem.residual_of_grad
+    points = []
 
-    def residual(self, x):
-        if not start:
-            start.append(x.copy())
-            return real(self, x)
-        return -np.sign(x - start[0]) * np.finfo(float).max
-    monkeypatch.setattr(frvi.vi._PenalizedSystem, "residual", residual)
+    def gradient(self, x):
+        points.append(x.copy())
+        return real_gradient(self, x)
+
+    def residual_of_grad(self, w):
+        if len(points) == 1:
+            return real_residual(self, w)
+        return -np.sign(points[-1] - points[0]) * np.finfo(float).max
+    monkeypatch.setattr(frvi.vi._PenalizedSystem, "gradient", gradient)
+    monkeypatch.setattr(frvi.vi._PenalizedSystem, "residual_of_grad", residual_of_grad)
     data = binding_1d()
     with pytest.raises(SolverDivergence, match="no descent") as err:
         solve_penalized(data, 0.5, zero_field(data.grid), PenaltyConfig())
@@ -552,7 +587,7 @@ def test_solve_vi_zero_source():
 
 @pytest.fixture(scope="module")
 def binding_solution():
-    return solve_vi(small_binding_1d(), VI_CFG, seed=3)
+    return solve_vi(small_binding_1d(), VI_CFG)
 
 
 def test_solve_vi_feasibility(binding_solution):
