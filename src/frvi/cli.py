@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -152,9 +153,30 @@ def _positive_int(raw: str) -> int:
     return n
 
 
-def _nonnegative_float(raw: str) -> float:
+def _nonnegative_int(raw: str) -> int:
+    n = int(raw)
+    if n < 0:
+        raise ValueError(f"{raw!r} is not an integer >= 0")
+    return n
+
+
+def _finite_float(raw: str) -> float:
     t = float(raw)
-    if not t >= 0.0:
+    if not math.isfinite(t):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return t
+
+
+def _positive_float(raw: str) -> float:
+    t = _finite_float(raw)
+    if t <= 0.0:
+        raise ValueError(f"{raw!r} is not a number > 0")
+    return t
+
+
+def _nonnegative_float(raw: str) -> float:
+    t = _finite_float(raw)
+    if t < 0.0:
         raise ValueError(f"{raw!r} is not a number >= 0")
     return t
 
@@ -181,20 +203,20 @@ def _scalar_file(path: Path, grid, what: str) -> ScalarField:
 
 
 @_built_from_config
-def _field_from_spec(spec: str, grid, mask, base_dir: Path) -> np.ndarray:
+def _field_from_spec(spec: str, grid, mask, base_dir: Path) -> ScalarField:
     """Presets: constant:<c>, mode:<k>:<amp> (sine along axis 0), file:<path>;
     constant and mode are restricted to the sub-domain."""
     parts = spec.split(":")
     kind = parts[0]
     if kind == "constant":
-        return np.where(mask.inside, float(parts[1]), 0.0)
+        return ScalarField(grid, np.where(mask.inside, float(parts[1]), 0.0))
     if kind == "mode":
         k, amp = int(parts[1]), float(parts[2])
         x0 = grid.coordinates()[0]
         vals = amp * np.sin(k * np.pi / grid.extent * x0)
-        return np.where(mask.inside, vals, 0.0)
+        return ScalarField(grid, np.where(mask.inside, vals, 0.0))
     if kind == "file":
-        return _scalar_file(base_dir / parts[1], grid, "field").values
+        return _scalar_file(base_dir / parts[1], grid, "field")
     raise ConfigError(f"unknown field spec {spec!r}")
 
 
@@ -233,11 +255,8 @@ def _problem_from_config(cfg, base_dir: Path) -> tuple:
     mask = mask_box(grid, _get(cfg, "grid", "omega_halfwidth", float))
     sigma = _get(cfg, "problem", "sigma", float)
     A = _coefficients_from_spec(cfg, grid, base_dir)
-    f = ScalarField(grid, _field_from_spec(
-        _get(cfg, "problem", "f", str), grid, mask, base_dir))
+    f = _field_from_spec(_get(cfg, "problem", "f", str), grid, mask, base_dir)
     nu = _get(cfg, "problem", "nu", float)
-    if nu <= 0:
-        raise ConfigError("threshold lower bound violated")
     thr = _threshold_from_spec(_get(cfg, "problem", "g", str), grid, nu, base_dir)
     data = ProblemData(mask, sigma, A, f, thr)
     # each set [penalty] key, cast to the type of its PenaltyConfig default
@@ -355,7 +374,10 @@ def run(config_path: str, subcommand: str, out_dir: str | None = None,
     try:
         cfg = _load_config(config_path)
         out = out or base_dir / _get(cfg, "run", "out", str, "out")
-        seed = seed if seed is not None else _get(cfg, "run", "seed", int, 0)
+        if seed is None:
+            seed = _get(cfg, "run", "seed", _nonnegative_int, 0)
+        elif seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
     except ConfigError as exc:
         if out is None:  # nowhere to log it
             print(f"config error: {exc}", file=sys.stderr)
@@ -413,8 +435,8 @@ def _dispatch(subcommand, cfg, base_dir, out, seed, log, artifacts) -> int:
         operator = _operator_from_config(cfg, data)
         problem = QVIProblem(data.mask, data.sigma, data.A, data.f)
         sol = solve_qvi(problem, operator, pen, **_set_only({
-            "outer_tol": _get(cfg, "qvi", "outer_tol", float, None),
-            "outer_max": _get(cfg, "qvi", "outer_max", int, None)}))
+            "outer_tol": _get(cfg, "qvi", "outer_tol", _positive_float, None),
+            "outer_max": _get(cfg, "qvi", "outer_max", _positive_int, None)}))
         write_fvf(out / "u.fvf", sol.u)
         write_fvf(out / "g_fixed.fvf", sol.g_fixed.g)
         rows = [[r.outer_iter, r.fp_residual, r.damping, r.inner_eps_final,
@@ -440,14 +462,14 @@ def _dispatch(subcommand, cfg, base_dir, out, seed, log, artifacts) -> int:
     if subcommand == "study-lipschitz":
         data, pen = _problem_from_config(cfg, base_dir)
         deltas = _get_list(cfg, "study-lipschitz", "deltas",
-                           lambda t: ScalarField(data.grid, float(t) * data.f.values))
+                           lambda t: ScalarField(data.grid, _finite_float(t) * data.f.values))
         return _write_study(lipschitz_study_f(data, deltas, pen), out, log, artifacts)
 
     if subcommand == "study-holder":
         data, pen = _problem_from_config(cfg, base_dir)
         ts = _get_list(cfg, "study-holder", "t_values", _nonnegative_float)
-        h = ScalarField(data.grid, _field_from_spec(
-            _get(cfg, "study-holder", "h", str), data.grid, data.mask, base_dir))
+        h = _field_from_spec(_get(cfg, "study-holder", "h", str), data.grid,
+                             data.mask, base_dir)
         h = ScalarField(data.grid, np.abs(h.values))
         return _write_study(holder_study_g(data, ts, h, pen), out, log, artifacts)
 
@@ -455,7 +477,7 @@ def _dispatch(subcommand, cfg, base_dir, out, seed, log, artifacts) -> int:
         data, _ = _problem_from_config(cfg, base_dir)
         sigmas = _get_list(cfg, "study-sigma-limit", "sigmas",
                            lambda s: FracOrder(float(s)).sigma)
-        kmax = _get(cfg, "study-sigma-limit", "kmax", int, 2)
+        kmax = _get(cfg, "study-sigma-limit", "kmax", _positive_int, 2)
         rng = np.random.default_rng(seed)
         u = random_band_limited(data.grid, rng, kmax=kmax)
         u = ScalarField(data.grid, np.where(data.mask.inside, u.values, 0.0))
@@ -505,7 +527,11 @@ def main(argv: list | None = None) -> int:
         description="Solvers for fractional-gradient-constrained problems")
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", required=True)
-    parser.add_argument("--out", default=None)
+    parser.add_argument(
+        "--out", default=None,
+        help="output directory; a relative path is resolved against the "
+             "directory of the config file, not the working directory "
+             "(default: [run] out of the config, else 'out')")
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
     return run(args.config, args.subcommand, out_dir=args.out, seed=args.seed)

@@ -12,6 +12,7 @@ operation here is pure, so concurrent use from multiple threads is safe.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -44,8 +45,8 @@ class Grid:
         n = self.resolution
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError(f"resolution must be a power of two >= 8, got {n}")
-        if not self.extent > 0:
-            raise ValueError("extent must be positive")
+        if not 0.0 < self.extent < math.inf:
+            raise ValueError("extent must be finite and positive")
 
     @property
     def spacing(self) -> float:

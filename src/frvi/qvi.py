@@ -100,12 +100,12 @@ class OuterFunction:
     ramp: str = "square"
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError("outer function must be bounded below by nu > 0")
+        if not 0.0 < self.nu < math.inf:
+            raise ValueError("outer function must be bounded below by a finite nu > 0")
         if self.ramp not in ("square", "abs"):
             raise ValueError(f"unknown ramp {self.ramp!r}")
-        if self.coeff < 0:
-            raise ValueError("coeff must be nonnegative to preserve the lower bound")
+        if not 0.0 <= self.coeff < math.inf:
+            raise ValueError("coeff must be finite and nonnegative to preserve the lower bound")
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         if self.ramp == "square":
@@ -215,8 +215,8 @@ class GammaFunctional:
 
 class ConstantGamma(GammaFunctional):
     def __init__(self, value: float):
-        if value <= 0:
-            raise ValueError("constant functional must be positive")
+        if not 0.0 < value < math.inf:
+            raise ValueError("constant functional must be finite and positive")
         self.value = value
 
     def __call__(self, u: ScalarField) -> float:
@@ -243,8 +243,8 @@ class IntegralGamma(GammaFunctional):
 
     def __init__(self, eta0: float, c1: float, mask: DomainMask, sigma: float,
                  poincare: float):
-        if eta0 <= 0 or c1 < 0:
-            raise ValueError("need eta0 > 0 and c1 >= 0")
+        if not (0.0 < eta0 < math.inf and 0.0 <= c1 < math.inf):
+            raise ValueError("need finite eta0 > 0 and c1 >= 0")
         self.eta0 = eta0
         self.c1 = c1
         self.mask = mask
@@ -419,6 +419,9 @@ def solve_qvi(problem: QVIProblem, operator: ThresholdOperator,
     is reported as non-converged, which existence theory cannot distinguish
     from cycling.
     """
+    if not 0.0 < outer_tol < math.inf or outer_max < 1:
+        raise ValueError("invalid outer-loop controls: need a finite outer_tol > 0 "
+                         "and outer_max >= 1")
     inner_cfg = inner_cfg or PenaltyConfig()
     warm_cfg = replace(inner_cfg, eps0=inner_cfg.eps_min)
     grid = problem.mask.grid

@@ -152,8 +152,8 @@ class Threshold:
     nu: float
 
     def __post_init__(self):
-        if not self.nu > 0:
-            raise ValueError("threshold lower bound violated")
+        if not 0.0 < self.nu < math.inf:
+            raise ValueError("threshold lower bound violated: nu must be finite and > 0")
         if float(self.g.values.min()) < self.nu - 1e-12 * self.nu:
             raise ValueError("threshold dips below its declared lower bound")
 
@@ -209,8 +209,9 @@ class PenaltyConfig:
             raise ValueError("ratio must lie in (0, 1)")
         if not self.eps_min <= self.eps0 < 1.0:
             raise ValueError("need eps_min <= eps0 < 1")
-        if self.newton_tol <= 0 or self.newton_max < 1:
-            raise ValueError("invalid solver controls")
+        if not 0.0 < self.newton_tol < math.inf or self.newton_max < 1:
+            raise ValueError("invalid solver controls: need a finite newton_tol > 0 "
+                             "and newton_max >= 1")
 
     def schedule(self) -> list:
         """Geometric continuation eps0 * ratio^j clipped to end at eps_min."""
@@ -690,6 +691,24 @@ def _trace_row(data: ProblemData, u: ScalarField, eps: float,
     ), k
 
 
+def _scaled_stages(data: ProblemData, cfg: PenaltyConfig) -> tuple:
+    """Cold-start path into the eps schedule: eps0 solves on the data scaled
+    by mu = ratio^4, then ratio^2, each from the last iterate rescaled.
+    penalty_value(mu s, eps) is the penalty of parameter eps/mu (its cap
+    moved), so stage mu solves the problem at eps0/mu, scaled by mu: the
+    schedule gains two ratio^2 steps above eps0.  Returns the start of the
+    schedule, u/mu of the last stage, and the stages' Newton steps."""
+    u = ScalarField(data.grid, np.zeros(data.grid.shape))
+    iters = 0
+    prev_mu = 1.0
+    for mu in (cfg.ratio**4, cfg.ratio**2):
+        u = ScalarField(data.grid, (mu / prev_mu) * u.values)
+        u, it = _solve_penalized_impl(data.scaled(mu), cfg.eps0, u, cfg)
+        iters += it
+        prev_mu = mu
+    return ScalarField(data.grid, u.values / prev_mu), iters
+
+
 def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
              init: ScalarField | None = None, shrink: bool = False) -> VISolution:
     """Continuation solve of the constrained problem.
@@ -698,6 +717,13 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
     starts, stopping early once successive iterates differ by less than
     newton_tol in the fractional Sobolev norm; the multiplier is the
     penalty coefficient at the final eps.
+
+    A cold start (init None or all zero) of a problem on the Krylov path
+    (see _dense_gradient) first runs the scaled-data stages of
+    _scaled_stages, which lengthen the schedule by two eps steps above eps0
+    and cut the Krylov iterations of the first eps step; their Newton steps
+    are counted in trace[0].newton_iters.  The dense path has no Krylov work
+    to save and starts the schedule from zero.
 
     Feasibility is only reached asymptotically along the schedule; with
     shrink=True the returned u is additionally scaled by nu/(nu + eta)
@@ -708,6 +734,9 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
     cfg = cfg or PenaltyConfig()
     grid = data.grid
     u = init if init is not None else ScalarField(grid, np.zeros(grid.shape))
+    stage_iters = 0
+    if not np.any(u.values) and _dense_gradient(data.mask, data.sigma) is None:
+        u, stage_iters = _scaled_stages(data, cfg)
     trace = []
     prev = None
     for eps in cfg.schedule():
@@ -720,6 +749,7 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
             if delta < cfg.newton_tol:
                 break
         prev = u
+    trace[0].newton_iters += stage_iters
     last = trace[-1]
     viol, en = last.feas_violation, last.energy
     if shrink:

@@ -1,14 +1,21 @@
+import contextlib
+import io
 import json
+import re
+import string
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import frvi.cli
 import frvi.vi
-from frvi.cli import EXIT_CONFIG, EXIT_OK, run
+from frvi.cli import EXIT_CONFIG, EXIT_OK, main, run
 from frvi.fields import make_grid, read_fvf, scalar_field, write_fvf
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -63,6 +70,24 @@ def test_manifest_lists_all_artifacts(tmp_path):
                  "[study-mosco] factors", "study-mosco", id="factors-zero"),
     pytest.param("factors = 2,4,8,16", "factors = 2,4.5",
                  "[study-mosco] factors", "study-mosco", id="factors-not-an-integer"),
+    pytest.param("newton_tol = 2e-5", "newton_tol = nan", "invalid solver controls",
+                 "solve-vi", id="newton-tol-nan"),
+    pytest.param("newton_tol = 2e-5", "newton_tol = inf", "invalid solver controls",
+                 "solve-vi", id="newton-tol-inf"),
+    pytest.param("nu = 150.0", "nu = inf", "threshold lower bound violated",
+                 "solve-vi", id="nu-inf"),
+    pytest.param("h = constant:30.0", "h = constant:nan", "non-finite",
+                 "study-holder", id="h-nan"),
+    pytest.param("t_values = 0.4,0.2,0.1,0.05", "t_values = 0.4,inf",
+                 "[study-holder] t_values", "study-holder", id="t-values-inf"),
+    pytest.param("deltas = 0.1,-0.05,0.02", "deltas = 0.1,inf",
+                 "[study-lipschitz] deltas", "study-lipschitz", id="deltas-inf"),
+    pytest.param("kmax = 2", "kmax = -1", "[study-sigma-limit] kmax",
+                 "study-sigma-limit", id="kmax-negative"),
+    pytest.param("kmax = 2", "kmax = 0", "[study-sigma-limit] kmax",
+                 "study-sigma-limit", id="kmax-zero"),
+    pytest.param("seed = 0", "seed = -1", "[run] seed",
+                 "study-sigma-limit", id="seed-negative"),
 ])
 def test_invalid_nu_exits_config_error(tmp_path, line, bad_line, reason, subcommand):
     text = BINDING.read_text()
@@ -248,3 +273,107 @@ def test_internal_error_is_logged_before_it_propagates(tmp_path, monkeypatch):
     assert errors == [{"event": "error", "kind": "internal",
                        "reason": "ZeroDivisionError: injected"}]
     assert not (out / "manifest.csv").exists()
+
+
+@pytest.mark.parametrize("line, bad_line, reason", [
+    pytest.param("outer_tol = 1e-6", "outer_tol = nan", "[qvi] outer_tol", id="outer-tol-nan"),
+    pytest.param("outer_max = 40", "outer_max = 0", "[qvi] outer_max", id="outer-max-zero"),
+    pytest.param("gamma = integral:1.0:0.00028", "gamma = integral:nan:0.00028",
+                 "finite eta0", id="gamma-integral-nan"),
+    pytest.param("gamma = integral:1.0:0.00028", "gamma = integral:1.0:inf",
+                 "finite eta0", id="gamma-integral-inf"),
+    pytest.param("gamma = integral:1.0:0.00028", "gamma = constant:inf",
+                 "finite and positive", id="gamma-constant-inf"),
+])
+def test_invalid_qvi_values_exit_config_error(tmp_path, line, bad_line, reason):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(QVI.read_text().replace(line, bad_line))
+    out = tmp_path / "out"
+    assert run(str(bad), "solve-qvi", out_dir=str(out)) == EXIT_CONFIG
+    errors = _error_events(out)
+    assert errors and errors[0]["kind"] == "config"
+    assert reason in errors[0]["reason"]
+
+
+def test_relative_out_is_resolved_against_the_config_directory(tmp_path, monkeypatch):
+    config_dir, cwd = tmp_path / "configs", tmp_path / "cwd"
+    config_dir.mkdir()
+    cwd.mkdir()
+    cfg = config_dir / "binding.cfg"
+    cfg.write_text(BINDING.read_text())
+    monkeypatch.chdir(cwd)
+    assert main(["solve-vi", "--config", str(cfg), "--out", "rel"]) == EXIT_OK
+    assert (config_dir / "rel" / "manifest.csv").exists()
+    assert not (cwd / "rel").exists()
+
+
+# -- property: a malformed numeric value exits 1 ---------------------------------
+
+NAN = st.sampled_from(["nan", "NaN", "-nan"])
+INF = st.sampled_from(["inf", "-inf", "Infinity", "1e999"])
+NEGATIVE = st.one_of(st.integers(max_value=-1).map(str),
+                     st.floats(max_value=-1e-300, allow_infinity=False).map(repr))
+ZERO = st.sampled_from(["0", "0.0", "-0"])
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+JUNK = st.text(string.ascii_letters + "_!?", min_size=1, max_size=8).filter(
+    lambda t: not _is_number(t))
+ALL = (NAN, INF, NEGATIVE, ZERO, JUNK)
+
+# each numeric key of binding1d.cfg: the subcommand that reads it, whether
+# the number sits in a constant:<c> spec, and the malformed values to try.
+# A negative or zero source f or delta and a negative h (taken as |h|) are
+# valid data, and t = 0, h = 0, delta = 0 and seed = 0 are valid inputs.
+NUMERIC_KEYS = {
+    "dim": ("solve-vi", False, ALL),
+    "extent": ("solve-vi", False, ALL),
+    "resolution": ("solve-vi", False, ALL),
+    "omega_halfwidth": ("solve-vi", False, ALL),
+    "sigma": ("solve-vi", False, ALL),
+    "f": ("solve-vi", True, (NAN, INF, JUNK)),
+    "g": ("solve-vi", True, ALL),
+    "nu": ("solve-vi", False, ALL),
+    "eps0": ("solve-vi", False, ALL),
+    "ratio": ("solve-vi", False, ALL),
+    "eps_min": ("solve-vi", False, ALL),
+    "newton_tol": ("solve-vi", False, ALL),
+    "newton_max": ("solve-vi", False, ALL),
+    "deltas": ("study-lipschitz", False, (NAN, INF, JUNK)),
+    "t_values": ("study-holder", False, (NAN, INF, NEGATIVE, JUNK)),
+    "h": ("study-holder", True, (NAN, INF, JUNK)),
+    "sigmas": ("study-sigma-limit", False, ALL),
+    "kmax": ("study-sigma-limit", False, ALL),
+    "factors": ("study-mosco", False, ALL),
+    "seed": ("study-sigma-limit", False, (NAN, INF, NEGATIVE, JUNK)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(NUMERIC_KEYS))
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(data=st.data())
+def test_malformed_numeric_value_exits_config_error(key, data):
+    subcommand, spec, kinds = NUMERIC_KEYS[key]
+    value = data.draw(st.one_of(*kinds))
+    value = f"constant:{value}" if spec else value
+    text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", BINDING.read_text(),
+                          flags=re.M)
+    assert count == 1
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "bad.cfg", Path(tmp) / "out"
+        cfg.write_text(text)
+        stderr = io.StringIO()
+        # run returns instead of raising: main prints no traceback
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            status = run(str(cfg), subcommand, out_dir=str(out))
+        assert status == EXIT_CONFIG, (key, value)
+        errors = _error_events(out)
+        assert [e["kind"] for e in errors] == ["config"], (key, value)
+        assert "Traceback" not in stderr.getvalue()

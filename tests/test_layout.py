@@ -1,7 +1,7 @@
 """Source-layout rules: private helpers stay inside their module, the
 Fourier transforms live in the spectral core (frvi.fracgrad) only, every
-name the benchmark's tracer wraps still exists, and every config key the
-CLI accepts is read."""
+name the benchmark's tracer wraps still exists, every config key the
+CLI accepts is read, and nothing reads the environment."""
 
 import ast
 import importlib.util
@@ -74,3 +74,18 @@ def test_every_cli_key_is_read():
     unread = sorted((section, key) for section, keys in frvi.cli._ALLOWED_KEYS.items()
                     for key in keys if (section, key) not in read)
     assert not unread, unread
+
+
+def test_no_environment_reads_in_src():
+    # a setting read from the environment would be a knob no config or
+    # signature shows
+    offenders = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                offenders.append(f"{name}:{node.lineno} os.{node.attr}")
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                offenders += [f"{name}:{node.lineno} imports {a.name}"
+                              for a in node.names if a.name in ("environ", "getenv")]
+    assert not offenders, offenders

@@ -33,6 +33,7 @@ from frvi.instances import (
 from frvi.qvi import (
     ConstantGamma,
     GammaFunctional,
+    IntegralGamma,
     KernelIntegralOperator,
     OuterFunction,
     QVIProblem,
@@ -179,6 +180,17 @@ def test_outer_function_validation():
         OuterFunction(nu=1.0, ramp="exp")
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_gamma_and_outer_values_rejected(value):
+    base = binding_1d()
+    for build in (lambda: OuterFunction(nu=value), lambda: OuterFunction(nu=1.0, coeff=value),
+                  lambda: ConstantGamma(value),
+                  lambda: IntegralGamma(value, 1.0, base.mask, base.sigma, 1.0),
+                  lambda: IntegralGamma(1.0, value, base.mask, base.sigma, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
+
 def test_solve_qvi_constant_operator_one_step():
     base = binding_1d()
     prob = QVIProblem(base.mask, base.sigma, base.A, base.f)
@@ -190,6 +202,14 @@ def test_solve_qvi_constant_operator_one_step():
     gap = hsigma_norm(ScalarField(base.grid, sol.u.values - ref.u.values),
                       base.sigma)
     assert gap <= 1e-6 * (1.0 + hsigma_norm(ref.u, base.sigma))
+
+
+@pytest.mark.parametrize("controls", [{"outer_tol": math.nan}, {"outer_tol": math.inf},
+                                      {"outer_tol": 0.0}, {"outer_max": 0}])
+def test_solve_qvi_rejects_invalid_outer_controls(controls):
+    inst = qvi_kernel_1d()
+    with pytest.raises(ValueError, match="outer-loop controls"):
+        solve_qvi(inst.problem, inst.operator, QVI_INNER_CFG, **controls)
 
 
 def test_solve_qvi_zero_source():

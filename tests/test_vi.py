@@ -360,11 +360,100 @@ def test_perturbed_binding_2d_converges_within_acceptance_bounds():
     _assert_acceptance_06_07(sol, data)
 
 
+# -- scaled-data stages of a cold Krylov solve ---------------------------------
+
+
+def _record_penalized_solves(monkeypatch):
+    """(eps, sup|f| of the data, Newton steps) of every penalized solve."""
+    calls = []
+    impl = frvi.vi._solve_penalized_impl
+
+    def recorded(data, eps, init, cfg):
+        u, iters = impl(data, eps, init, cfg)
+        calls.append((eps, float(np.abs(data.f.values).max()), iters))
+        return u, iters
+    monkeypatch.setattr(frvi.vi, "_solve_penalized_impl", recorded)
+    return calls
+
+
+def _count_krylov_iterations(monkeypatch):
+    counts = {"cg": 0, "bicgstab": 0}
+    for name in counts:
+        solver = getattr(frvi.vi, name)
+
+        def counted(*args, _solver=solver, _name=name, **kwargs):
+            def step(_xk):
+                counts[_name] += 1
+            return _solver(*args, callback=step, **kwargs)
+        monkeypatch.setattr(frvi.vi, name, counted)
+    return counts
+
+
+def test_cold_krylov_solve_runs_two_scaled_eps0_stages(monkeypatch):
+    data = binding_2d()
+    calls = _record_penalized_solves(monkeypatch)
+    sol = solve_vi(data, VI_CFG)
+    f_sup, eps0, ratio = 200.0, VI_CFG.eps0, VI_CFG.ratio
+    stages = [(eps, f) for eps, f, _ in calls[:2]]
+    assert stages == [(eps0, pytest.approx(ratio**4 * f_sup)),
+                      (eps0, pytest.approx(ratio**2 * f_sup))]
+    assert [(eps, f) for eps, f, _ in calls[2:]] == [(row.eps, f_sup) for row in sol.trace]
+    # the stages' Newton steps are counted in the first eps step
+    assert sol.trace[0].newton_iters == sum(iters for *_, iters in calls[:3])
+    assert [row.newton_iters for row in sol.trace[1:]] == [iters for *_, iters in calls[3:]]
+
+
+def test_cold_binding_2d_cg_iterations_bounded(monkeypatch):
+    # 975 CG iterations when the cold start solves at eps0 on the data
+    # itself, 595 through the two scaled stages
+    counts = _count_krylov_iterations(monkeypatch)
+    solve_vi(binding_2d(), VI_CFG)
+    assert counts["bicgstab"] == 0
+    assert 0 < counts["cg"] <= 700
+
+
+def test_no_stages_on_the_dense_path_or_from_a_nonzero_start(monkeypatch):
+    calls = _record_penalized_solves(monkeypatch)
+    sol = solve_vi(binding_1d(), VI_CFG)  # the dense path
+    assert [(eps, f) for eps, f, _ in calls] == [(row.eps, 100.0) for row in sol.trace]
+    calls.clear()
+    data = binding_2d()
+    init = sample_feasible(data, np.random.default_rng(0))
+    one_step = PenaltyConfig(eps0=0.5, eps_min=0.5, newton_tol=VI_CFG.newton_tol)
+    sol = solve_vi(data, one_step, init=init)
+    assert [(eps, f) for eps, f, _ in calls] == [(0.5, 200.0)]
+    assert sol.trace[0].newton_iters == calls[0][2]
+
+
+def test_only_the_cold_first_qvi_inner_solve_runs_stages(monkeypatch):
+    # every problem takes the Krylov path with a zero dense budget
+    monkeypatch.setattr(frvi.vi, "DENSE_NEWTON_BUDGET", 0)
+    counts = _count_krylov_iterations(monkeypatch)
+    calls = _record_penalized_solves(monkeypatch)
+    inst = qvi_kernel_1d()
+    sol = solve_qvi(inst.problem, inst.operator, QVI_INNER_CFG, outer_tol=QVI_OUTER_TOL)
+    assert sol.converged and sol.iterations >= 2 and counts["cg"] > 0
+    f_sup = float(np.abs(inst.problem.f.values).max())
+    scaled = [i for i, (_, f, _) in enumerate(calls) if f != f_sup]
+    assert scaled == [0, 1]  # the stages of the cold first solve only
+
+
 def test_penalty_config_floor_enforced():
     with pytest.raises(ValueError, match="floor"):
         PenaltyConfig(eps_min=0.01)
     with pytest.raises(ValueError):
         PenaltyConfig(ratio=1.5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_controls_and_bounds_rejected(value):
+    with pytest.raises(ValueError, match="invalid solver controls"):
+        PenaltyConfig(newton_tol=value)
+    grid = make_grid(1, 2.0, 32)
+    with pytest.raises(ValueError, match="threshold lower bound violated"):
+        Threshold(scalar_field(grid, 1.0), value)
+    with pytest.raises(ValueError, match="extent"):
+        make_grid(1, value, 32)
 
 
 def test_problem_data_requires_supported_source():
