@@ -25,9 +25,10 @@ workspaces, safe to run concurrently.
 For small masks the core also gives its operators as dense matrices on
 the inside nodes: gram_matrix (the H^sigma form) and gradient_matrix (the
 restricted fractional gradient, which the semismooth Newton solver
-assembles its Jacobians from).  Each comes from one transform of an
-impulse, gathered at the wrapped node differences, since every multiplier
-is translation invariant on the torus.
+assembles its Jacobians from), and gradient_rows gives the rows of the
+latter at chosen nodes (which the Krylov preconditioner corrects).  Each
+comes from one transform of an impulse, gathered at the wrapped node
+differences, since every multiplier is translation invariant on the torus.
 
 Sampled diagnostics draw and transform their random fields as the rows of
 one (count, *grid.shape) stack, transformed in stacks of at most
@@ -266,28 +267,43 @@ def gram_matrix(mask: DomainMask, sigma: float) -> np.ndarray:
     return kernel[_wrapped_difference_index(coords, coords, grid.resolution)]
 
 
+def gradient_rows(mask: DomainMask, sigma: float, nodes: np.ndarray) -> np.ndarray:
+    """Rows of the restricted fractional gradient G (gradient_matrix) at the
+    torus nodes `nodes` (flat grid indices), as an (N, len(nodes), m) array:
+    row (i, a) maps the inside values x to (D^sigma_i E x)(a), so it is also
+    P(-div^sigma) of the unit flux along axis i at node a.
+
+    D^sigma is translation invariant, so the row of node a reads the
+    gradient K of an impulse at node 0 at the wrapped differences
+    (a - x_j) mod n to the inside nodes x_j.  Dense, so limited to
+    DENSE_UNKNOWN_LIMIT^2 entries, checked before anything is built.
+    """
+    grid = mask.grid
+    nodes = np.asarray(nodes, dtype=np.intp)
+    entries = grid.dim * len(nodes) * mask.num_inside
+    if entries > DENSE_UNKNOWN_LIMIT**2:
+        raise ValueError(f"too many entries for a dense gradient "
+                         f"({entries}, limit {DENSE_UNKNOWN_LIMIT**2})")
+    kernel = grad_arrays(_impulse(grid), grid, as_sigma(sigma)).reshape(grid.dim, -1)
+    coords = np.column_stack(np.unravel_index(nodes, grid.shape))
+    index = _wrapped_difference_index(coords, np.argwhere(mask.inside), grid.resolution)
+    return kernel[:, index]
+
+
 def gradient_matrix(mask: DomainMask, sigma: float) -> np.ndarray:
     """Restricted fractional gradient G: x -> D^sigma E x as a dense
     (N * num_nodes, m) matrix, rows ordered as the ravel of the stacked
-    (N, *grid.shape) gradient, E the zero extension of the inside values x.
+    (N, *grid.shape) gradient, E the zero extension of the inside values x:
+    gradient_rows at every node.
 
-    D^sigma is translation invariant, so G's column j is the gradient K of
-    an impulse at node 0, shifted to the inside node x_j: the row of node y
-    reads K((y - x_j) mod n).  G^T is P(-div^sigma) with P the restriction
-    to the inside nodes, and G^T G is gram_matrix's M to round-off.  Dense,
-    so limited to DENSE_UNKNOWN_LIMIT inside nodes and to
-    DENSE_UNKNOWN_LIMIT^2 entries, the size of the largest Gram matrix.
+    G^T is P(-div^sigma) with P the restriction to the inside nodes, and
+    G^T G is gram_matrix's M to round-off.  Dense, so limited to
+    DENSE_UNKNOWN_LIMIT^2 entries, the size of the largest Gram matrix;
+    since m <= num_nodes, that also keeps m within DENSE_UNKNOWN_LIMIT.
     """
-    m = _check_dense_limit(mask)
     grid = mask.grid
-    entries = grid.dim * grid.num_nodes * m
-    if entries > DENSE_UNKNOWN_LIMIT**2:
-        raise ValueError(f"too many entries for a dense gradient matrix "
-                         f"({entries}, limit {DENSE_UNKNOWN_LIMIT**2})")
-    kernel = grad_arrays(_impulse(grid), grid, as_sigma(sigma)).reshape(grid.dim, -1)
-    nodes = np.indices(grid.shape).reshape(grid.dim, -1).T
-    index = _wrapped_difference_index(nodes, np.argwhere(mask.inside), grid.resolution)
-    return kernel[:, index].reshape(grid.dim * grid.num_nodes, m)
+    rows = gradient_rows(mask, sigma, np.arange(grid.num_nodes))
+    return rows.reshape(grid.dim * grid.num_nodes, mask.num_inside)
 
 
 def certified_spectrum(M: np.ndarray) -> tuple | None:

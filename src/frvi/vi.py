@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import LinearOperator, bicgstab, cg
 
 from .fields import (
@@ -27,6 +28,7 @@ from .fields import (
     magnitude,
 )
 from .fracgrad import (
+    DENSE_UNKNOWN_LIMIT,
     apply_symbol,
     assert_supported,
     band_limited_stack,
@@ -34,6 +36,7 @@ from .fracgrad import (
     grad_arrays,
     grad_stack,
     gradient_matrix,
+    gradient_rows,
     hsigma_norm,
     multiplier_table,
     neg_div_arrays,
@@ -209,9 +212,10 @@ class PenaltyConfig:
             raise ValueError("ratio must lie in (0, 1)")
         if not self.eps_min <= self.eps0 < 1.0:
             raise ValueError("need eps_min <= eps0 < 1")
-        if not 0.0 < self.newton_tol < math.inf or self.newton_max < 1:
+        if (not 0.0 < self.newton_tol < math.inf or isinstance(self.newton_max, bool)
+                or not isinstance(self.newton_max, int) or self.newton_max < 1):
             raise ValueError("invalid solver controls: need a finite newton_tol > 0 "
-                             "and newton_max >= 1")
+                             "and an integer newton_max >= 1")
 
     def schedule(self) -> list:
         """Geometric continuation eps0 * ratio^j clipped to end at eps_min."""
@@ -320,6 +324,78 @@ def _full_rank_gradient(grid: Grid, sigma: float, inside: bytes) -> np.ndarray |
     return G
 
 
+class _ActiveGram:
+    """Gram matrix of the rows g_(i,a) = P G^T e_(i,a) (fracgrad.gradient_rows)
+    of the torus nodes a the penalty has made active, under the spectral
+    preconditioner T1 = P S1 E at cbar = 1: gram[i, j, a, b] = g_(i,a)^T T1
+    g_(j,b), a and b the nodes' slots.  The rows depend only on the grid,
+    sigma and the mask, so one instance serves every Newton system of one
+    solve_vi call; it grows as nodes become active, each node's rows built
+    and transformed once, up to `capacity` nodes.
+
+    Entry (i, a; j, b) is the gradient of E T1 g_(j,b) read at node a, so a
+    new node needs no old row: its rows are built, transformed by S1,
+    restricted and differentiated in stack_slices stacks of nodes."""
+
+    def __init__(self, mask: DomainMask, sigma: float):
+        grid = mask.grid
+        self.mask = mask
+        self.sigma = sigma
+        _, mag_sigma = multiplier_table(grid, sigma)
+        kmin = math.pi / (2.0 * grid.extent)
+        # S1: the inverse of the surrogate symbol |kappa|^(2 sigma) + kmin^(2 sigma)
+        self.symbol = 1.0 / (mag_sigma**2 + kmin ** (2.0 * sigma))
+        # at most m / N nodes, so the Gram is never larger than the restricted
+        # Gram matrix M (m x m); none at all above N m = DENSE_UNKNOWN_LIMIT,
+        # past the crossover (README "Numerical notes")
+        m = mask.num_inside
+        self.capacity = m // grid.dim if grid.dim * m <= DENSE_UNKNOWN_LIMIT else 0
+        self.slot = np.full(grid.num_nodes, -1, dtype=np.intp)
+        self.nodes = np.empty(0, dtype=np.intp)
+        self.gram = np.empty((grid.dim, grid.dim, 0, 0))
+
+    def stored(self, nodes: np.ndarray) -> np.ndarray:
+        """The torus nodes of `nodes` (flat indices) that the Gram holds,
+        after adding the new ones it has room for."""
+        new = nodes[self.slot[nodes] < 0]
+        room = self.capacity - len(self.nodes)
+        if new.size and room > 0:
+            self._add(new[:room])
+        return nodes[self.slot[nodes] >= 0]
+
+    def form(self, nodes: np.ndarray, normal: np.ndarray) -> np.ndarray:
+        """U^T T1 U for the stored `nodes`, u_a = sum_i normal[i, a] g_(i,a):
+        the (p, p) matrix sum_ij normal[i, a] gram[i, j, a, b] normal[j, b],
+        contracted over every slot (zero normals off `nodes`), then cut."""
+        dim = self.mask.grid.dim
+        slots = self.slot[nodes]
+        full = np.zeros((dim, len(self.nodes)))
+        full[:, slots] = normal
+        out = sum(full[i][:, None] * self.gram[i, j] * full[j]
+                  for i in range(dim) for j in range(dim))
+        return out[np.ix_(slots, slots)]
+
+    def _add(self, new: np.ndarray) -> None:
+        grid, inside = self.mask.grid, self.mask.inside
+        old = len(self.nodes)
+        self.slot[new] = old + np.arange(len(new))
+        self.nodes = np.concatenate([self.nodes, new])
+        gram = np.empty((grid.dim, grid.dim, len(self.nodes), len(self.nodes)))
+        gram[:, :, :old, :old] = self.gram
+        rows = gradient_rows(self.mask, self.sigma, new).transpose(1, 0, 2)
+        for part in stack_slices(grid, len(new)):
+            fields = np.zeros((len(rows[part]), grid.dim) + grid.shape)
+            fields[..., inside] = rows[part]
+            smoothed = apply_symbol(fields, self.symbol) * inside
+            grads = grad_arrays(smoothed, grid, self.sigma)  # [b, j, i, y]
+            read = grads.reshape(grads.shape[:3] + (-1,))[..., self.nodes]
+            gram[:, :, :, old + part.start:old + part.stop] = read.transpose(2, 1, 3, 0)
+        gram[:, :, old:, :old] = gram[:, :, :old, old:].transpose(1, 0, 3, 2)
+        fresh = gram[:, :, old:, old:]
+        fresh[...] = 0.5 * (fresh + fresh.transpose(1, 0, 3, 2))
+        self.gram = gram
+
+
 class _PenalizedSystem:
     """Residual and Jacobian of the penalized problem restricted to the
     inside nodes, built on the applied coefficient data.A.applied.
@@ -330,7 +406,7 @@ class _PenalizedSystem:
     Every other problem is matrix-free: transforms for G and G^T, and
     preconditioned CG or BiCGSTAB for the Newton systems."""
 
-    def __init__(self, data: ProblemData, eps: float):
+    def __init__(self, data: ProblemData, eps: float, gram: _ActiveGram | None = None):
         self.data = data
         self.A = data.A.applied
         self.eps = eps
@@ -340,6 +416,7 @@ class _PenalizedSystem:
         self.g = data.g.g.values
         self.f_inside = data.f.values[self.inside]
         self.G = _dense_gradient(data.mask, data.sigma)
+        self.gram = gram
 
     def unpack(self, x: np.ndarray) -> np.ndarray:
         full = np.zeros(self.grid.shape)
@@ -408,22 +485,77 @@ class _PenalizedSystem:
         """(x, info): x solves P(-div^sigma[C D^sigma E x]) = rhs, C as in
         flux.  Exactly by LU of assemble(k, w, coef) on the dense path;
         otherwise by CG (BiCGSTAB for a nonsymmetric applied A) to relative
-        tolerance rtol, with info the solver's flag (0 when converged).  A
-        non-converged iterate is still returned: the line search judges it,
-        and the caller counts it.  The preconditioner is the spectral
-        inverse of the constant-coefficient surrogate at the mean of k."""
+        tolerance rtol, with info the solver's flag (0 when converged), and
+        preconditioned by preconditioner(k, w, coef).  A non-converged
+        iterate is still returned: the line search judges it, and the
+        caller counts it."""
         if self.G is not None:
             return np.linalg.solve(self.assemble(k, w, coef), rhs), 0
-        op = LinearOperator((self.m, self.m), matvec=lambda v: self.neg_div(
+        # dtype given, so that LinearOperator does not probe each with a matvec
+        op = LinearOperator((self.m, self.m), dtype=float, matvec=lambda v: self.neg_div(
             self.flux(self.gradient(v), k, w, coef)))
-        _, mag_sigma = multiplier_table(self.grid, self.data.sigma)
-        cbar = self.data.A.a_star + float(k.mean())
-        kmin = math.pi / (2.0 * self.grid.extent)
-        mult = 1.0 / (cbar * (mag_sigma**2 + kmin ** (2.0 * self.data.sigma)))
-        pre = LinearOperator((self.m, self.m), matvec=lambda v: self.pack(
-            apply_symbol(self.unpack(v), mult)))
+        pre = LinearOperator((self.m, self.m), dtype=float,
+                             matvec=self.preconditioner(k, w, coef))
         solver = cg if self.A.is_symmetric else bicgstab
         return solver(op, rhs, rtol=rtol, atol=0.0, maxiter=400, M=pre)
+
+    def preconditioner(self, k: np.ndarray, w: np.ndarray | None = None,
+                       coef: np.ndarray | None = None):
+        """The Krylov preconditioner, as a function of the residual.
+
+        T = P S1 E / cbar, the spectral inverse of the constant-coefficient
+        surrogate at cbar = a_* + mean(k) (S1 as in _ActiveGram), corrected
+        for the stiff part of the Newton Jacobian.  At each of the p torus
+        nodes a with coef > 0 the linearized flux adds the rank-one term
+        beta_a u_a u_a^T, with w_a = |w_a| n_a, u_a = P G^T(n_a e_a) and
+        beta_a = coef_a |w_a|^2; on binding_2d these give T J one eigenvalue
+        above 10 per active node, up to 914 at eps 0.5 and 1.14e4 at 0.04.  M = T^-1 + U diag(beta) U^T
+        removes them, and its exact inverse (Sherman-Morrison-Woodbury) is
+
+            M^-1 r = T r - T U C^-1 U^T T r,  C = diag(1/beta) + U^T T U,
+
+        with C factored by a p x p Cholesky.  U^T T U is gathered from the
+        Gram matrix of the rows g_(i,a) (self.gram, grown as nodes become
+        active) and scaled by 1/cbar; U^T t is the gradient of E t read at
+        the active nodes, and U c is P(-div^sigma) of the flux c_a n_a at
+        node a.  So an apply costs eight transforms instead of two.  A
+        frozen (Picard) system, one with no active node, or a C that is not
+        numerically positive definite keeps T alone."""
+        if self.gram is None:
+            self.gram = _ActiveGram(self.data.mask, self.data.sigma)
+        cbar = self.data.A.a_star + float(k.mean())
+        symbol = self.gram.symbol / cbar
+
+        def spectral(v):
+            return self.pack(apply_symbol(self.unpack(v), symbol))
+        if w is None:
+            return spectral
+        active = self.gram.stored(np.flatnonzero(coef > 0.0))
+        if not active.size:
+            return spectral
+        dim = self.grid.dim
+        w_active = w.reshape(dim, -1)[:, active]
+        mag = magnitude(w_active)
+        normal = w_active / mag
+        with np.errstate(over="ignore"):
+            inv_beta = 1.0 / (coef.reshape(-1)[active] * mag * mag)
+        C = self.gram.form(active, normal) / cbar
+        C[np.diag_indices_from(C)] += inv_beta
+        try:
+            factor = cho_factor(C, check_finite=False)
+        except np.linalg.LinAlgError:
+            return spectral
+        grid, sigma, inside = self.grid, self.data.sigma, self.inside
+        flux = np.zeros((dim,) + grid.shape)
+
+        def corrected(v):
+            t = apply_symbol(self.unpack(v), symbol) * inside  # E T v
+            ut = np.sum(normal * grad_arrays(t, grid, sigma).reshape(dim, -1)[:, active], axis=0)
+            flux.reshape(dim, -1)[:, active] = normal * cho_solve(
+                factor, ut, check_finite=False)
+            return self.pack(t - apply_symbol(neg_div_arrays(flux, grid, sigma) * inside,
+                                              symbol))
+        return corrected
 
 
 def solve_penalized(data: ProblemData, eps: float, init: ScalarField,
@@ -456,9 +588,9 @@ def solve_penalized(data: ProblemData, eps: float, init: ScalarField,
 
 
 def _solve_penalized_impl(data: ProblemData, eps: float, init: ScalarField,
-                          cfg: PenaltyConfig) -> tuple:
+                          cfg: PenaltyConfig, gram: _ActiveGram | None = None) -> tuple:
     assert_supported(init, data.mask)
-    sys = _PenalizedSystem(data, eps)
+    sys = _PenalizedSystem(data, eps, gram)
     x = sys.pack(init.values)
     tol = cfg.newton_tol * (1.0 + float(np.abs(data.f.values).max()))
     history = []
@@ -691,7 +823,7 @@ def _trace_row(data: ProblemData, u: ScalarField, eps: float,
     ), k
 
 
-def _scaled_stages(data: ProblemData, cfg: PenaltyConfig) -> tuple:
+def _scaled_stages(data: ProblemData, cfg: PenaltyConfig, gram: _ActiveGram) -> tuple:
     """Cold-start path into the eps schedule: eps0 solves on the data scaled
     by mu = ratio^4, then ratio^2, each from the last iterate rescaled.
     penalty_value(mu s, eps) is the penalty of parameter eps/mu (its cap
@@ -703,7 +835,7 @@ def _scaled_stages(data: ProblemData, cfg: PenaltyConfig) -> tuple:
     prev_mu = 1.0
     for mu in (cfg.ratio**4, cfg.ratio**2):
         u = ScalarField(data.grid, (mu / prev_mu) * u.values)
-        u, it = _solve_penalized_impl(data.scaled(mu), cfg.eps0, u, cfg)
+        u, it = _solve_penalized_impl(data.scaled(mu), cfg.eps0, u, cfg, gram)
         iters += it
         prev_mu = mu
     return ScalarField(data.grid, u.values / prev_mu), iters
@@ -723,7 +855,9 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
     _scaled_stages, which lengthen the schedule by two eps steps above eps0
     and cut the Krylov iterations of the first eps step; their Newton steps
     are counted in trace[0].newton_iters.  The dense path has no Krylov work
-    to save and starts the schedule from zero.
+    to save and starts the schedule from zero.  On the Krylov path the
+    stages and every eps step share one _ActiveGram, the Gram matrix the
+    preconditioner's correction is gathered from.
 
     Feasibility is only reached asymptotically along the schedule; with
     shrink=True the returned u is additionally scaled by nu/(nu + eta)
@@ -735,12 +869,15 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
     grid = data.grid
     u = init if init is not None else ScalarField(grid, np.zeros(grid.shape))
     stage_iters = 0
-    if not np.any(u.values) and _dense_gradient(data.mask, data.sigma) is None:
-        u, stage_iters = _scaled_stages(data, cfg)
+    gram = None
+    if _dense_gradient(data.mask, data.sigma) is None:
+        gram = _ActiveGram(data.mask, data.sigma)
+        if not np.any(u.values):
+            u, stage_iters = _scaled_stages(data, cfg, gram)
     trace = []
     prev = None
     for eps in cfg.schedule():
-        u, iters = _solve_penalized_impl(data, eps, u, cfg)
+        u, iters = _solve_penalized_impl(data, eps, u, cfg, gram)
         row, k = _trace_row(data, u, eps, iters)
         trace.append(row)
         if prev is not None:

@@ -16,6 +16,7 @@ from frvi.fracgrad import (
     grad_arrays,
     grad_stack,
     gradient_matrix,
+    gradient_rows,
     gram_matrix,
     hsigma_norm,
     multiplier_table,
@@ -201,6 +202,22 @@ def test_gradient_matrix_matches_impulse_gradients(dim, n, sigma):
     flux = np.random.default_rng(9).normal(size=(dim,) + g.shape)
     div = neg_div_arrays(flux, g, sigma)[m.inside]
     assert np.abs(G.T @ flux.ravel() - div).max() <= 1e-13 * np.abs(div).max()
+
+
+@pytest.mark.parametrize("mask", [
+    lambda: binding_1d().mask,
+    lambda: mask_box(make_grid(2, 2.0, 32), 1.0),
+    lambda: binding_2d().mask,
+])
+def test_gradient_rows_are_slices_of_the_gradient_matrix(mask):
+    m = mask()
+    grid = m.grid
+    G = gradient_matrix(m, 0.4).reshape(grid.dim, grid.num_nodes, m.num_inside)
+    nodes = np.random.default_rng(3).permutation(grid.num_nodes)[:37]
+    nodes[:2] = [0, grid.num_nodes - 1]
+    assert gradient_rows(m, 0.4, nodes).tobytes() == G[:, nodes].tobytes()
+    assert gradient_rows(m, 0.4, np.arange(grid.num_nodes)).tobytes() == G.tobytes()
+    assert gradient_rows(m, 0.4, []).shape == (grid.dim, 0, m.num_inside)
 
 
 def test_gradient_matrix_rejects_oversized_masks():

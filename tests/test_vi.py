@@ -305,6 +305,50 @@ def test_assembled_jacobian_matches_jacobian_matvec(instance):
     assert np.abs(columns @ d - rhs).max() <= 1e-9 * np.abs(rhs).max()
 
 
+def _variable_skew_box_32():
+    grid = make_grid(2, 2.0, 32)
+    mask = mask_box(grid, 1.0)
+    skew = 0.3 * np.cos(0.5 * np.pi * grid.coordinates()[0])
+    f = ScalarField(grid, np.where(mask.inside, 200.0, 0.0))
+    return ProblemData(mask, 0.4, _skew_coefficients(grid, skew), f,
+                       Threshold(scalar_field(grid, 187.0), 187.0))
+
+
+@pytest.mark.parametrize("instance", [binding_1d, _variable_skew_box_32])
+def test_corrected_preconditioner_is_the_exact_inverse(monkeypatch, instance):
+    # each active node a adds coef_a (w_a e_a)(w_a e_a)^T, pulled back by the
+    # gradient, to the Jacobian; the corrected preconditioner is the exact
+    # inverse of T^-1 plus that stiff part, T the spectral one alone.  The
+    # Jacobian is taken at the solution at eps_min, where the terms are
+    # stiffest (beta up to 6.5e3)
+    data = instance()
+    u = solve_vi(data, VI_CFG).u
+    monkeypatch.setattr(frvi.vi, "DENSE_NEWTON_BUDGET", 0)
+    sys = _PenalizedSystem(data, VI_CFG.eps_min)
+    assert sys.G is None
+    w = sys.gradient(sys.pack(u.values))
+    k, coef = sys.linearization(w)
+    active = np.flatnonzero(coef > 0.0)
+    assert 8 <= active.size < sys.m
+    eye = np.eye(sys.m)
+    dim = data.grid.dim
+    U = np.empty((sys.m, active.size))
+    for col, a in enumerate(active):
+        flux = np.zeros((dim, data.grid.num_nodes))
+        flux[:, a] = w.reshape(dim, -1)[:, a]
+        U[:, col] = sys.neg_div(flux.reshape(w.shape))
+    stiff = (U * coef.ravel()[active]) @ U.T
+    J = np.column_stack([sys.neg_div(sys.flux(sys.gradient(e), k, w, coef)) for e in eye])
+    frozen = np.column_stack([sys.neg_div(sys.flux(sys.gradient(e), k)) for e in eye])
+    assert np.abs(J - frozen - stiff).max() <= 1e-10 * np.abs(J).max()
+    T = np.column_stack([sys.preconditioner(k)(e) for e in eye])
+    corrected = np.column_stack([sys.preconditioner(k, w, coef)(e) for e in eye])
+    exact = np.linalg.inv(np.linalg.inv(T) + stiff)
+    scale = np.abs(exact).max()
+    assert np.abs(corrected - exact).max() <= 1e-10 * scale
+    assert np.abs(corrected - corrected.T).max() <= 1e-10 * scale
+
+
 def test_nonsymmetric_2d_runs_cg_only(monkeypatch):
     calls = _count_krylov(monkeypatch)
     solve_vi(nonsymmetric_2d(), VI_CFG)
@@ -313,16 +357,14 @@ def test_nonsymmetric_2d_runs_cg_only(monkeypatch):
 
 
 def test_variable_skew_runs_bicgstab_within_acceptance_bounds(monkeypatch):
-    grid = make_grid(2, 2.0, 32)
-    mask = mask_box(grid, 1.0)
-    skew = 0.3 * np.cos(0.5 * np.pi * grid.coordinates()[0])
-    f = ScalarField(grid, np.where(mask.inside, 200.0, 0.0))
-    data = ProblemData(mask, 0.4, _skew_coefficients(grid, skew), f,
-                       Threshold(scalar_field(grid, 187.0), 187.0))
+    data = _variable_skew_box_32()
     calls = _count_krylov(monkeypatch)
+    iterations = _count_krylov_iterations(monkeypatch)
     sol = solve_vi(data, VI_CFG)
     assert calls["bicgstab"] > 0
     assert calls["cg"] == 0
+    # 287 iterations with the spectral preconditioner alone
+    assert iterations["bicgstab"] <= 80
     assert sol.energy is None
     _assert_acceptance_06_07(sol, data)
 
@@ -368,8 +410,8 @@ def _record_penalized_solves(monkeypatch):
     calls = []
     impl = frvi.vi._solve_penalized_impl
 
-    def recorded(data, eps, init, cfg):
-        u, iters = impl(data, eps, init, cfg)
+    def recorded(data, eps, init, cfg, *gram):
+        u, iters = impl(data, eps, init, cfg, *gram)
         calls.append((eps, float(np.abs(data.f.values).max()), iters))
         return u, iters
     monkeypatch.setattr(frvi.vi, "_solve_penalized_impl", recorded)
@@ -405,11 +447,28 @@ def test_cold_krylov_solve_runs_two_scaled_eps0_stages(monkeypatch):
 
 def test_cold_binding_2d_cg_iterations_bounded(monkeypatch):
     # 975 CG iterations when the cold start solves at eps0 on the data
-    # itself, 595 through the two scaled stages
+    # itself, 595 through the two scaled stages, 97 with the stiff active
+    # nodes corrected in the preconditioner
     counts = _count_krylov_iterations(monkeypatch)
     solve_vi(binding_2d(), VI_CFG)
     assert counts["bicgstab"] == 0
-    assert 0 < counts["cg"] <= 700
+    assert 0 < counts["cg"] <= 150
+
+
+def test_cold_binding_2d_transform_count_bounded(monkeypatch):
+    # 4086 transforms before the preconditioner corrected the stiff active
+    # nodes (and before LinearOperator was told its dtype); the correction
+    # costs eight per apply and its Gram ten per node, but saves CG steps
+    data = binding_2d()
+    calls = [0]
+    for module in (scipy.fft, np.fft):
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+            def counted(*args, _fn=getattr(module, name), **kwargs):
+                calls[0] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    solve_vi(data, VI_CFG)
+    assert 0 < calls[0] <= 2400
 
 
 def test_no_stages_on_the_dense_path_or_from_a_nonzero_start(monkeypatch):
@@ -449,6 +508,10 @@ def test_penalty_config_floor_enforced():
 def test_non_finite_controls_and_bounds_rejected(value):
     with pytest.raises(ValueError, match="invalid solver controls"):
         PenaltyConfig(newton_tol=value)
+    # newton_max bounds a range(): inf and 2.5 would fail there, True run one step
+    for newton_max in (math.inf, 2.5, True):
+        with pytest.raises(ValueError, match="invalid solver controls"):
+            PenaltyConfig(newton_max=newton_max)
     grid = make_grid(1, 2.0, 32)
     with pytest.raises(ValueError, match="threshold lower bound violated"):
         Threshold(scalar_field(grid, 1.0), value)
