@@ -13,6 +13,7 @@ and residual diagnostics are recorded per continuation step.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -213,7 +214,7 @@ class PenaltyConfig:
         if not self.eps_min <= self.eps0 < 1.0:
             raise ValueError("need eps_min <= eps0 < 1")
         if (not 0.0 < self.newton_tol < math.inf or isinstance(self.newton_max, bool)
-                or not isinstance(self.newton_max, int) or self.newton_max < 1):
+                or not isinstance(self.newton_max, numbers.Integral) or self.newton_max < 1):
             raise ValueError("invalid solver controls: need a finite newton_tol > 0 "
                              "and an integer newton_max >= 1")
 
@@ -347,7 +348,7 @@ class _ActiveGram:
         self.symbol = 1.0 / (mag_sigma**2 + kmin ** (2.0 * sigma))
         # at most m / N nodes, so the Gram is never larger than the restricted
         # Gram matrix M (m x m); none at all above N m = DENSE_UNKNOWN_LIMIT,
-        # past the crossover (README "Numerical notes")
+        # below the crossovers measured in 1D and 2D (README "Numerical notes")
         m = mask.num_inside
         self.capacity = m // grid.dim if grid.dim * m <= DENSE_UNKNOWN_LIMIT else 0
         self.slot = np.full(grid.num_nodes, -1, dtype=np.intp)
@@ -365,15 +366,10 @@ class _ActiveGram:
 
     def form(self, nodes: np.ndarray, normal: np.ndarray) -> np.ndarray:
         """U^T T1 U for the stored `nodes`, u_a = sum_i normal[i, a] g_(i,a):
-        the (p, p) matrix sum_ij normal[i, a] gram[i, j, a, b] normal[j, b],
-        contracted over every slot (zero normals off `nodes`), then cut."""
-        dim = self.mask.grid.dim
+        the (p, p) matrix sum_ij normal[i, a] gram[i, j, a, b] normal[j, b]."""
         slots = self.slot[nodes]
-        full = np.zeros((dim, len(self.nodes)))
-        full[:, slots] = normal
-        out = sum(full[i][:, None] * self.gram[i, j] * full[j]
-                  for i in range(dim) for j in range(dim))
-        return out[np.ix_(slots, slots)]
+        gram = self.gram[:, :, slots[:, None], slots]
+        return np.einsum("ia,ijab,jb->ab", normal, gram, normal)
 
     def _add(self, new: np.ndarray) -> None:
         grid, inside = self.mask.grid, self.mask.inside

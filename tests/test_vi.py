@@ -17,6 +17,7 @@ from frvi.fields import (
     zero_field,
 )
 from frvi.fracgrad import (
+    DENSE_UNKNOWN_LIMIT,
     frac_gradient,
     frac_laplacian,
     grad_arrays,
@@ -56,6 +57,7 @@ from frvi.vi import (
     solve_penalized,
     solve_vi,
     vi_residual,
+    _ActiveGram,
     _PenalizedSystem,
     _smooth_bump,
 )
@@ -349,6 +351,23 @@ def test_corrected_preconditioner_is_the_exact_inverse(monkeypatch, instance):
     assert np.abs(corrected - corrected.T).max() <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("dim, n, omega, corrected", [
+    (1, 8192, 1.0, True), (1, 16384, 1.0, False),
+    (2, 128, 0.7, True), (2, 128, 0.8, False),
+])
+def test_correction_is_used_up_to_the_dense_unknown_limit(dim, n, omega, corrected):
+    # binding boxes on each side of N m = DENSE_UNKNOWN_LIMIT (README
+    # "Numerical notes"): the correction pays up to it, and the measured
+    # crossover lies above it, between N m = 8191 and 16383 in 1D and
+    # between 5202 and 6498 in 2D
+    mask = mask_box(make_grid(dim, 2.0, n), omega)
+    assert (dim * mask.num_inside <= DENSE_UNKNOWN_LIMIT) is corrected
+    gram = _ActiveGram(mask, 0.4)
+    nodes = np.flatnonzero(mask.inside)[:3]
+    assert len(gram.stored(nodes)) == (3 if corrected else 0)
+    assert gram.gram.shape == (dim, dim) + ((3, 3) if corrected else (0, 0))
+
+
 def test_nonsymmetric_2d_runs_cg_only(monkeypatch):
     calls = _count_krylov(monkeypatch)
     solve_vi(nonsymmetric_2d(), VI_CFG)
@@ -431,6 +450,17 @@ def _count_krylov_iterations(monkeypatch):
     return counts
 
 
+def _count_transforms(monkeypatch):
+    calls = [0]
+    for module in (scipy.fft, np.fft):
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+            def counted(*args, _fn=getattr(module, name), **kwargs):
+                calls[0] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_cold_krylov_solve_runs_two_scaled_eps0_stages(monkeypatch):
     data = binding_2d()
     calls = _record_penalized_solves(monkeypatch)
@@ -460,13 +490,7 @@ def test_cold_binding_2d_transform_count_bounded(monkeypatch):
     # nodes (and before LinearOperator was told its dtype); the correction
     # costs eight per apply and its Gram ten per node, but saves CG steps
     data = binding_2d()
-    calls = [0]
-    for module in (scipy.fft, np.fft):
-        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
-            def counted(*args, _fn=getattr(module, name), **kwargs):
-                calls[0] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
+    calls = _count_transforms(monkeypatch)
     solve_vi(data, VI_CFG)
     assert 0 < calls[0] <= 2400
 
@@ -512,6 +536,7 @@ def test_non_finite_controls_and_bounds_rejected(value):
     for newton_max in (math.inf, 2.5, True):
         with pytest.raises(ValueError, match="invalid solver controls"):
             PenaltyConfig(newton_max=newton_max)
+    assert PenaltyConfig(newton_max=np.int64(3)).newton_max == 3
     grid = make_grid(1, 2.0, 32)
     with pytest.raises(ValueError, match="threshold lower bound violated"):
         Threshold(scalar_field(grid, 1.0), value)
@@ -912,13 +937,7 @@ def test_vi_residual_equals_the_sequential_loop(instance):
 def test_vi_residual_transforms_its_samples_as_stacks(monkeypatch):
     data = binding_1d()
     u = sample_feasible(data, np.random.default_rng(4))
-    calls = [0]
-    for module in (scipy.fft, np.fft):
-        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
-            def counted(*args, _fn=getattr(module, name), **kwargs):
-                calls[0] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
+    calls = _count_transforms(monkeypatch)
     vi_residual(u, data, trials=32, seed=0)
     assert calls[0] <= 12  # about 200 as a loop over lone fields
 
