@@ -358,8 +358,8 @@ def test_corrected_preconditioner_is_the_exact_inverse(monkeypatch, instance):
 def test_correction_is_used_up_to_the_dense_unknown_limit(dim, n, omega, corrected):
     # binding boxes on each side of N m = DENSE_UNKNOWN_LIMIT (README
     # "Numerical notes"): the correction pays up to it, and the measured
-    # crossover lies above it, between N m = 8191 and 16383 in 1D and
-    # between 5202 and 6498 in 2D
+    # loss sets in above it, between N m = 4095 and 8191 in 1D and between
+    # 5202 and 6498 in 2D
     mask = mask_box(make_grid(dim, 2.0, n), omega)
     assert (dim * mask.num_inside <= DENSE_UNKNOWN_LIMIT) is corrected
     gram = _ActiveGram(mask, 0.4)
