@@ -2,18 +2,49 @@
 
 For symmetric coefficients the constrained problem is the minimization of
 the quadratic energy over the convex set |D^sigma u| <= g; this module
-solves that program by operator splitting (alternating a prefactorized
-linear step in u, a nodewise ball projection of the gradient target, and
-a dual ascent), entirely independent of the penalization route.  An
-unconstrained spectral / dense linear solver covers inactive cases.
+solves that program by operator splitting (ADMM: alternating a
+prefactorized linear step in u, a nodewise ball projection of the gradient
+target w, and a dual ascent in the scaled multiplier y), entirely
+independent of the penalization route.  An unconstrained spectral / dense
+linear solver covers inactive cases.
+
+Three things cut the splitting's linear solves (230 to 51 on binding_2d):
+
+- Over-relaxation (Eckstein & Bertsekas, Math. Program. 55 (1992)): the
+  projection and the dual ascent see RELAXATION D^s u + (1 - RELAXATION) w
+  in place of D^s u.
+- Type-II Anderson acceleration (Zhang, O'Donoghue & Boyd, SIAM J. Optim.
+  30 (2020)) of one sweep as a fixed-point map z -> F(z) of the state
+  z = (w, y), over the last ANDERSON_MEMORY differences.  The memory is
+  cleared when rho is rebalanced (F changes), and when ||F(z) - z|| grows
+  by more than ANDERSON_SAFEGUARD over the previous sweep; the next state
+  is then the plain F(z).  Every iteration is one sweep, so one linear
+  solve, and the stopping test reads the primal/dual residuals of that
+  sweep, so tol means what it meant for the plain iteration.
+- For one constant scalar A the linear step's matrix is (a + rho) M, M the
+  restricted Gram matrix.  M is Cholesky-factored once per (grid, sigma,
+  mask) and kept in a one-entry cache of 8 m^2 bytes (7.4 MB at
+  binding_2d's m = 961, 134 MB at the 4096-node dense limit); a rho
+  rebalance only rescales the solve.  Any other A is factored per rho.
+
+Each iteration still calls `cho_solve` on the factor (two triangular
+solves) through this module's names `cho_factor` and `cho_solve`, which
+the benchmark counts as factorizations and iterations.  An explicit
+inverse applied by a symmetric matrix-vector product would be faster per
+iteration, but it costs an extra m^3 inversion per factor and gives up
+the triangular solves' backward stability.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+from functools import lru_cache
+
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .fields import ScalarField, VectorField, lp_norm, magnitude
+from .fields import DomainMask, Grid, ScalarField, VectorField, lp_norm, magnitude
 from .fracgrad import (
     apply_symbol,
     grad_arrays,
@@ -31,12 +62,24 @@ from .vi import (
 
 ORACLE_NODE_LIMIT = 16384
 
+# over-relaxation factor of the gradient target in the splitting sweep
+RELAXATION = 1.5
+# differences kept by the Anderson acceleration of the sweep
+ANDERSON_MEMORY = 5
+# growth of ||F(z) - z|| over the previous sweep that clears that memory
+ANDERSON_SAFEGUARD = 1.5
+
+
+def _project(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Nodewise Euclidean projection of a stacked (N, *grid.shape) array
+    onto {|v(x)| <= g(x)}."""
+    mag = magnitude(v)
+    return np.where(mag > g, g / np.where(mag > 0, mag, 1.0), 1.0) * v
+
 
 def project_ball(w: VectorField, g: Threshold) -> VectorField:
     """Nodewise Euclidean projection onto {|w(x)| <= g(x)}."""
-    mag = w.magnitude()
-    factor = np.where(mag > g.g.values, g.g.values / np.where(mag > 0, mag, 1.0), 1.0)
-    return VectorField(w.grid, tuple(factor * c for c in w.components))
+    return VectorField(w.grid, tuple(_project(np.stack(w.components), g.g.values)))
 
 
 def _constant_scalar(A) -> float | None:
@@ -63,6 +106,71 @@ def _dense_operators(data: ProblemData) -> tuple:
         mat_a[:, j] = neg_div_arrays(data.A.apply(w), grid, sigma)[inside]
         basis[tuple(node)] = 0.0
     return mat_a, mat_lap
+
+
+@lru_cache(maxsize=1)
+def _gram_factor(grid: Grid, sigma: float, inside: bytes) -> tuple:
+    """Read-only Cholesky factor of the restricted Gram matrix M of the mask
+    whose inside flags are the bytes `inside`; one entry, 8 m^2 bytes."""
+    flags = np.frombuffer(inside, dtype=bool).reshape(grid.shape)
+    chol, lower = cho_factor(gram_matrix(DomainMask(grid, flags, padding_fraction=0.0),
+                                         sigma))
+    chol.flags.writeable = False
+    return chol, lower
+
+
+class _Anderson:
+    """Type-II Anderson acceleration of a fixed-point map z -> F(z) (Zhang,
+    O'Donoghue & Boyd, SIAM J. Optim. 30 (2020)): the next state is
+    F(z) - dG gamma, where gamma minimizes |f - dF gamma| over the last
+    ANDERSON_MEMORY differences dF of the residuals f = F(z) - z and dG of
+    the images F(z).  The differences live in preallocated rows, and gamma
+    comes from the regularized k x k normal equations."""
+
+    def __init__(self, size: int):
+        self.df = np.empty((ANDERSON_MEMORY, size))
+        self.dg = np.empty((ANDERSON_MEMORY, size))
+        self.normal = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
+        self.f_last = np.empty(size)
+        self.g_last = np.empty(size)
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget the history: the map changed, or the safeguard fired."""
+        self.stored = 0
+        self.row = 0
+        self.last_norm = None
+
+    def step(self, z: np.ndarray, image: np.ndarray) -> None:
+        """Overwrite the state z with the next one, given image = F(z)."""
+        z_flat, g = z.reshape(-1), image.reshape(-1)
+        f = g - z_flat
+        norm = float(np.sqrt(f @ f))
+        if self.last_norm is not None and norm > ANDERSON_SAFEGUARD * self.last_norm:
+            self.reset()
+        z_flat[:] = g
+        if self.last_norm is not None:
+            j = self.row
+            np.subtract(f, self.f_last, out=self.df[j])
+            np.subtract(g, self.g_last, out=self.dg[j])
+            self.row = (j + 1) % ANDERSON_MEMORY
+            self.stored = k = min(self.stored + 1, ANDERSON_MEMORY)
+            col = self.df[:k] @ self.df[j]
+            self.normal[j, :k] = col
+            self.normal[:k, j] = col
+            # a Tikhonov term 1e-12 tr(H) keeps nearly collinear differences
+            # from blowing up gamma; exactly zero ones fall back to a plain step
+            normal = self.normal[:k, :k]
+            try:
+                gamma = np.linalg.solve(normal + 1e-12 * np.trace(normal) * np.eye(k),
+                                        self.df[:k] @ f)
+            except np.linalg.LinAlgError:
+                self.reset()
+            else:
+                z_flat -= gamma @ self.dg[:k]
+        self.f_last[:] = f
+        self.g_last[:] = g
+        self.last_norm = norm
 
 
 def oracle_solve_pde(data: ProblemData) -> ScalarField:
@@ -98,57 +206,78 @@ def oracle_solve_vi(data: ProblemData, rho: float = 1.0, tol: float = 1e-9,
                     max_iter: int = 4000) -> ScalarField:
     """Splitting solve of the symmetric constrained program.
 
-    Alternates: (i) linear solve in u with the gradient target w and dual y
-    fixed, (ii) ball projection for w, (iii) dual ascent; rho is rebalanced
-    by factors of two when the primal and dual residuals drift apart.
+    Each iteration is one relaxed sweep from the state (w, y): (i) linear
+    solve in u with the gradient target w and dual y fixed, (ii) ball
+    projection of the relaxed target for w, (iii) dual ascent.  The next
+    state is the Anderson extrapolation of the sweeps; rho is rebalanced by
+    factors of two when the primal and dual residuals drift apart.  It stops
+    when both residuals of a sweep are below tol (relative to 1 + |D^s u|);
+    max_iter bounds the sweeps, so the linear solves.
     """
     if not data.A.is_symmetric:
         raise ValueError("oracle requires symmetric coefficients")
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"need a finite rho > 0, got {rho}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"need a finite tol > 0, got {tol}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) \
+            or max_iter < 1:
+        raise ValueError(f"need an integer max_iter >= 1, got {max_iter!r}")
     grid = data.grid
     if grid.num_nodes > ORACLE_NODE_LIMIT:
         raise ValueError("grid too large for the oracle")
-    mat_a, mat_lap = _dense_operators(data)
     inside = data.mask.inside
     f_in = data.f.values[inside]
     sigma = data.sigma
+    g_vals = data.g.g.values
+    hN = grid.cell_volume
+    a = _constant_scalar(data.A)
+    if a is None:
+        mat_a, mat_lap = _dense_operators(data)
+    else:
+        gram = _gram_factor(grid, sigma, inside.tobytes())
 
-    shape = (grid.dim,) + grid.shape
-    w = np.zeros(shape)
-    y = np.zeros(shape)
-    factor = cho_factor(mat_a + rho * mat_lap)
-    since_refactor = 0
-    for it in range(max_iter):
+    def factor(rho: float) -> tuple:
+        """(Cholesky factor, scale): the linear step is scale * cho_solve."""
+        if a is None:
+            return cho_factor(mat_a + rho * mat_lap), 1.0
+        return gram, 1.0 / (a + rho)
+
+    z = np.zeros((2, grid.dim) + grid.shape)  # the state (w, y)
+    image = np.empty_like(z)  # its sweep F(z)
+    accel = _Anderson(z.size)
+    chol, scale = factor(rho)
+    u_vals = np.zeros(grid.shape)
+    since_rebalance = 0
+    for _ in range(max_iter):
+        w, y = z
         rhs = f_in + neg_div_arrays(w - y, grid, sigma)[inside] * rho
         # cho_factor checked the matrix; rescanning its factor on every
         # iteration cost a third of each solve, so only the m-vector is checked
         if not np.isfinite(rhs).all():
             raise ValueError("array must not contain infs or NaNs")
-        x = cho_solve(factor, rhs, check_finite=False)
-        u_vals = np.zeros(grid.shape)
-        u_vals[inside] = x
+        u_vals[inside] = cho_solve(chol, rhs, check_finite=False) * scale
         du = grad_arrays(u_vals, grid, sigma)
-        w_old = w
-        w = np.stack(project_ball(VectorField(grid, tuple(du + y)), data.g).components)
-        y = y + du - w
-        hN = grid.cell_volume
-        primal = float(np.sqrt(hN * np.sum((du - w) ** 2)))
-        dual_field = neg_div_arrays(w - w_old, grid, sigma)[inside]
+        target = RELAXATION * du + (1.0 - RELAXATION) * w
+        image[0] = _project(target + y, g_vals)
+        image[1] = y + target - image[0]
+        primal = float(np.sqrt(hN * np.sum((du - image[0]) ** 2)))
+        dual_field = neg_div_arrays(image[0] - w, grid, sigma)[inside]
         dual = rho * float(np.sqrt(hN * np.sum(dual_field**2)))
-        scale = 1.0 + float(np.sqrt(hN * np.sum(du**2)))
-        if primal <= tol * scale and dual <= tol * scale:
+        size = 1.0 + float(np.sqrt(hN * np.sum(du**2)))
+        if primal <= tol * size and dual <= tol * size:
             return ScalarField(grid, u_vals)
-        since_refactor += 1
-        if since_refactor >= 10:
-            if primal > 10.0 * dual:
-                rho *= 2.0
-                y = y / 2.0
-                factor = cho_factor(mat_a + rho * mat_lap)
-                since_refactor = 0
-            elif dual > 10.0 * primal:
-                rho /= 2.0
-                y = y * 2.0
-                factor = cho_factor(mat_a + rho * mat_lap)
-                since_refactor = 0
+        since_rebalance += 1
+        if since_rebalance >= 10 and max(primal, dual) > 10.0 * min(primal, dual):
+            step = 2.0 if primal > dual else 0.5
+            rho *= step
+            image[1] /= step
+            chol, scale = factor(rho)
+            accel.reset()
+            z[...] = image
+            since_rebalance = 0
+        else:
+            accel.step(z, image)
     raise SolverDivergence(
         f"splitting oracle: max_iter={max_iter} reached "
         f"(primal {primal:.3e}, dual {dual:.3e})",

@@ -1,15 +1,20 @@
 """Source-layout rules: private helpers stay inside their module, the
 Fourier transforms live in the spectral core (frvi.fracgrad) only, every
-name the benchmark's tracer wraps still exists, every config key the
-CLI accepts is read, and nothing reads the environment."""
+name the benchmark's tracer wraps still exists (and the oracle's still
+do the counted work), every config key the CLI accepts is read, and
+nothing reads the environment."""
 
 import ast
 import importlib.util
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 import frvi.cli
-from frvi.vi import PenaltyConfig
+import frvi.oracle
+from frvi.fields import ScalarField, make_grid, mask_box, scalar_field
+from frvi.vi import PenaltyConfig, ProblemData, Threshold, identity_coefficients
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "frvi"
@@ -46,18 +51,45 @@ def test_fourier_transforms_only_in_fracgrad():
     assert not offenders, offenders
 
 
-def test_benchmark_tracer_finds_every_name_it_wraps():
-    # perfbench/tracing.py wraps frvi functions by name; a rename inside
-    # frvi fails here instead of only in the slow benchmark suite
+def _benchmark_tracing():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/tracing.py wraps frvi functions by name; a rename inside
+    # frvi fails here instead of only in the slow benchmark suite
+    tracing = _benchmark_tracing()
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer)
     finally:
         tracer.restore()
+
+
+def test_benchmark_oracle_probes_fire():
+    # the tracer counts oracle runs, factorizations and iterations at the
+    # names frvi.oracle calls; work routed around them would read 0
+    tracing = _benchmark_tracing()
+    tracer = tracing.Tracer()
+    grid = make_grid(1, 2.0, 32)
+    mask = mask_box(grid, 1.0)
+    f = ScalarField(grid, np.where(mask.inside, 10.0, 0.0))
+    data = ProblemData(mask, 0.5, identity_coefficients(grid), f,
+                       Threshold(scalar_field(grid, 1.0), 1.0))
+    frvi.oracle._gram_factor.cache_clear()
+    try:
+        tracing.install(tracer)
+        tracer.active = True
+        frvi.oracle.oracle_solve_vi(data)
+    finally:
+        tracer.active = False
+        tracer.restore()
+    for count in ("oracle.runs", "oracle.factorizations", "oracle.iterations"):
+        assert tracer.counts[count] >= 1, count
 
 
 def test_every_cli_key_is_read():

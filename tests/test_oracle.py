@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from frvi.fields import (
     zero_field,
 )
 from frvi.fracgrad import hsigma_norm
-from frvi.instances import VI_CFG, small_binding_1d
+from frvi.instances import VI_CFG, binding_1d, binding_2d, small_binding_1d
 from frvi.oracle import (
     certify_minimum,
     oracle_solve_pde,
@@ -209,3 +210,86 @@ def test_oracle_node_limit():
                        Threshold(scalar_field(g, 1.0), 1.0))
     with pytest.raises(ValueError, match="dense"):
         oracle_solve_vi(data, max_iter=2)
+
+
+@pytest.mark.parametrize("controls", [
+    {"max_iter": 0}, {"max_iter": -1}, {"max_iter": 2.5}, {"max_iter": True},
+    {"max_iter": "10"},
+    {"rho": 0.0}, {"rho": -1.0}, {"rho": math.inf}, {"rho": math.nan},
+    {"tol": 0.0}, {"tol": -1.0}, {"tol": math.inf}, {"tol": math.nan},
+])
+def test_splitting_oracle_rejects_bad_controls(controls):
+    # max_iter=0 used to end in an UnboundLocalError, rho=0 in a degenerate
+    # split run to max_iter, rho<0 in a LAPACK error, and a nan or negative
+    # tol in a reported divergence
+    (name,) = controls
+    with pytest.raises(ValueError, match=name):
+        oracle_solve_vi(small_binding_1d(), **controls)
+
+
+def test_splitting_oracle_accepts_numpy_integer_max_iter():
+    u = oracle_solve_vi(small_binding_1d(), max_iter=np.int64(200))
+    assert np.abs(u.values).max() > 0.0
+
+
+def _count_factor_and_solve_calls(monkeypatch):
+    """Calls of frvi.oracle.cho_factor and cho_solve, the names the
+    benchmark counts as oracle factorizations and iterations."""
+    calls = Counter()
+    for name in ("cho_factor", "cho_solve"):
+        def counted(*args, _fn=getattr(frvi.oracle, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(frvi.oracle, name, counted)
+    return calls
+
+
+def test_binding_2d_oracle_solves_and_factor_reuse(monkeypatch):
+    # relaxed, Anderson-accelerated sweeps: 51 linear solves (230 for the
+    # plain splitting); a constant A factors the Gram matrix once per mask
+    data = binding_2d()
+    frvi.oracle._gram_factor.cache_clear()
+    calls = _count_factor_and_solve_calls(monkeypatch)
+    oracle_solve_vi(data, tol=1e-9)
+    assert calls["cho_solve"] <= 80
+    assert calls["cho_factor"] == 1
+    calls.clear()
+    oracle_solve_vi(data, tol=1e-9)
+    assert calls["cho_factor"] == 0
+    assert 0 < calls["cho_solve"] <= 80
+
+
+def _binding_variable_coefficient_1d():
+    """binding_1d's mask and threshold with A = 1.5 + 0.5 cos(pi x / 2) and
+    twice its source: the constraint binds (largest multiplier about 1.5)."""
+    base = binding_1d()
+    g = base.grid
+    A = EllipticCoefficients(g, 1.5 + 0.5 * np.cos(np.pi * g.axis() / 2.0),
+                             a_star=1.0, a_upper=2.0)
+    return ProblemData(base.mask, base.sigma, A, ScalarField(g, 2.0 * base.f.values),
+                       base.g)
+
+
+def test_oracle_agrees_with_penalty_solver_for_variable_coefficient(monkeypatch):
+    # a variable A is assembled column by column and factored per rho
+    data = _binding_variable_coefficient_1d()
+    sol = solve_vi(data, VI_CFG)
+    assert sol.multiplier.values.max() > 1.0
+    calls = _count_factor_and_solve_calls(monkeypatch)
+    u_or = oracle_solve_vi(data, tol=1e-9)
+    assert calls["cho_factor"] >= 1
+    # acceptance 05's bounds
+    gap = hsigma_norm(ScalarField(data.grid, sol.u.values - u_or.values), data.sigma)
+    assert gap <= 1e-3 * hsigma_norm(u_or, data.sigma)
+    j_or = energy(u_or, data)
+    assert abs(energy(sol.u, data) - j_or) <= 1e-4 * abs(j_or)
+
+
+@pytest.mark.parametrize("rho", [1.0 / 64.0, 64.0])
+def test_oracle_converges_from_a_poorly_scaled_rho(rho):
+    # rho is rebalanced by factors of two, which clears the Anderson memory
+    data = small_binding_1d()
+    ref = oracle_solve_vi(data, tol=1e-9)
+    u = oracle_solve_vi(data, rho=rho, tol=1e-9)
+    gap = hsigma_norm(ScalarField(data.grid, u.values - ref.values), data.sigma)
+    assert gap <= 1e-9 * hsigma_norm(ref, data.sigma)
