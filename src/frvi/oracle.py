@@ -8,23 +8,19 @@ target w, and a dual ascent in the scaled multiplier y), entirely
 independent of the penalization route.  An unconstrained spectral / dense
 linear solver covers inactive cases.
 
-Three things cut the splitting's linear solves (230 to 51 on binding_2d):
+Two things make the splitting cheaper:
 
-- Over-relaxation (Eckstein & Bertsekas, Math. Program. 55 (1992)): the
-  projection and the dual ascent see RELAXATION D^s u + (1 - RELAXATION) w
-  in place of D^s u.
 - Type-II Anderson acceleration (Zhang, O'Donoghue & Boyd, SIAM J. Optim.
   30 (2020)) of one sweep as a fixed-point map z -> F(z) of the state
-  z = (w, y), over the last ANDERSON_MEMORY differences.  The memory is
+  z = (w, y), over the last ANDERSON_MEMORY differences, cuts binding_2d's
+  linear solves from 230 to 47.  The memory is
   cleared when rho is rebalanced (F changes), and when ||F(z) - z|| grows
   by more than ANDERSON_SAFEGUARD over the previous sweep; the next state
   is then the plain F(z).  Every iteration is one sweep, so one linear
   solve, and the stopping test reads the primal/dual residuals of that
   sweep, so tol means what it meant for the plain iteration.
 - For one constant scalar A the linear step's matrix is (a + rho) M, M the
-  restricted Gram matrix.  M is Cholesky-factored once per (grid, sigma,
-  mask) and kept in a one-entry cache of 8 m^2 bytes (7.4 MB at
-  binding_2d's m = 961, 134 MB at the 4096-node dense limit); a rho
+  restricted Gram matrix.  M is Cholesky-factored once per call, and a rho
   rebalance only rescales the solve.  Any other A is factored per rho.
 
 Each iteration still calls `cho_solve` on the factor (two triangular
@@ -39,12 +35,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .fields import DomainMask, Grid, ScalarField, VectorField, lp_norm, magnitude
+from .fields import ScalarField, VectorField, lp_norm, magnitude
 from .fracgrad import (
     apply_symbol,
     grad_arrays,
@@ -62,8 +57,6 @@ from .vi import (
 
 ORACLE_NODE_LIMIT = 16384
 
-# over-relaxation factor of the gradient target in the splitting sweep
-RELAXATION = 1.5
 # differences kept by the Anderson acceleration of the sweep
 ANDERSON_MEMORY = 5
 # growth of ||F(z) - z|| over the previous sweep that clears that memory
@@ -106,17 +99,6 @@ def _dense_operators(data: ProblemData) -> tuple:
         mat_a[:, j] = neg_div_arrays(data.A.apply(w), grid, sigma)[inside]
         basis[tuple(node)] = 0.0
     return mat_a, mat_lap
-
-
-@lru_cache(maxsize=1)
-def _gram_factor(grid: Grid, sigma: float, inside: bytes) -> tuple:
-    """Read-only Cholesky factor of the restricted Gram matrix M of the mask
-    whose inside flags are the bytes `inside`; one entry, 8 m^2 bytes."""
-    flags = np.frombuffer(inside, dtype=bool).reshape(grid.shape)
-    chol, lower = cho_factor(gram_matrix(DomainMask(grid, flags, padding_fraction=0.0),
-                                         sigma))
-    chol.flags.writeable = False
-    return chol, lower
 
 
 class _Anderson:
@@ -206,9 +188,9 @@ def oracle_solve_vi(data: ProblemData, rho: float = 1.0, tol: float = 1e-9,
                     max_iter: int = 4000) -> ScalarField:
     """Splitting solve of the symmetric constrained program.
 
-    Each iteration is one relaxed sweep from the state (w, y): (i) linear
-    solve in u with the gradient target w and dual y fixed, (ii) ball
-    projection of the relaxed target for w, (iii) dual ascent.  The next
+    Each iteration is one sweep from the state (w, y): (i) linear solve in
+    u with the gradient target w and dual y fixed, (ii) ball projection of
+    D^s u + y for w, (iii) dual ascent.  The next
     state is the Anderson extrapolation of the sweeps; rho is rebalanced by
     factors of two when the primal and dual residuals drift apart.  It stops
     when both residuals of a sweep are below tol (relative to 1 + |D^s u|);
@@ -235,7 +217,7 @@ def oracle_solve_vi(data: ProblemData, rho: float = 1.0, tol: float = 1e-9,
     if a is None:
         mat_a, mat_lap = _dense_operators(data)
     else:
-        gram = _gram_factor(grid, sigma, inside.tobytes())
+        gram = cho_factor(gram_matrix(data.mask, sigma))
 
     def factor(rho: float) -> tuple:
         """(Cholesky factor, scale): the linear step is scale * cho_solve."""
@@ -258,9 +240,8 @@ def oracle_solve_vi(data: ProblemData, rho: float = 1.0, tol: float = 1e-9,
             raise ValueError("array must not contain infs or NaNs")
         u_vals[inside] = cho_solve(chol, rhs, check_finite=False) * scale
         du = grad_arrays(u_vals, grid, sigma)
-        target = RELAXATION * du + (1.0 - RELAXATION) * w
-        image[0] = _project(target + y, g_vals)
-        image[1] = y + target - image[0]
+        image[0] = _project(du + y, g_vals)
+        image[1] = y + du - image[0]
         primal = float(np.sqrt(hN * np.sum((du - image[0]) ** 2)))
         dual_field = neg_div_arrays(image[0] - w, grid, sigma)[inside]
         dual = rho * float(np.sqrt(hN * np.sum(dual_field**2)))

@@ -80,7 +80,6 @@ def test_benchmark_oracle_probes_fire():
     f = ScalarField(grid, np.where(mask.inside, 10.0, 0.0))
     data = ProblemData(mask, 0.5, identity_coefficients(grid), f,
                        Threshold(scalar_field(grid, 1.0), 1.0))
-    frvi.oracle._gram_factor.cache_clear()
     try:
         tracing.install(tracer)
         tracer.active = True
