@@ -28,7 +28,7 @@ from .fields import (
     write_csv,
     write_fvf,
 )
-from .oracle import oracle_solve_vi
+from .oracle import check_oracle_input, oracle_solve_vi
 from .qvi import (
     ConstantGamma,
     FracGradKernelOperator,
@@ -211,7 +211,8 @@ def _field_from_spec(spec: str, grid, mask, base_dir: Path) -> ScalarField:
     if kind == "constant":
         return ScalarField(grid, np.where(mask.inside, float(parts[1]), 0.0))
     if kind == "mode":
-        k, amp = int(parts[1]), float(parts[2])
+        # a finite amplitude: inf times a zero of the sine is nan
+        k, amp = int(parts[1]), _finite_float(parts[2])
         x0 = grid.coordinates()[0]
         vals = amp * np.sin(k * np.pi / grid.extent * x0)
         return ScalarField(grid, np.where(mask.inside, vals, 0.0))
@@ -276,7 +277,7 @@ def _gamma_from_spec(spec: str, mask, sigma: float):
     if parts[0] == "constant":
         return ConstantGamma(float(parts[1]))
     if parts[0] == "integral":
-        cp = estimate_poincare_constant(mask.grid, mask, sigma)
+        cp = estimate_poincare_constant(mask, sigma)
         return IntegralGamma(float(parts[1]), float(parts[2]), mask, sigma, cp)
     raise ConfigError(f"unknown gamma spec {spec!r}")
 
@@ -321,7 +322,7 @@ def _operator_from_config(cfg, data: ProblemData):
 @_built_from_config
 def _certificate(data: ProblemData, operator: SeparatedOperator):
     """Contraction certificate from the certified embedding constant C*."""
-    c_star = estimate_sobolev_constant(data.grid, data.mask, data.sigma)
+    c_star = estimate_sobolev_constant(data.mask, data.sigma)
     return contraction_certificate(data.f, data.mask, data.sigma, operator,
                                    c_star, data.A.a_star)
 
@@ -503,6 +504,8 @@ def _dispatch(subcommand, cfg, base_dir, out, seed, log, artifacts) -> int:
 
     if subcommand == "oracle-check":
         data, pen = _problem_from_config(cfg, base_dir)
+        # the oracle's refusal is a config error, reported before the solve
+        _built_from_config(check_oracle_input)(data)
         sol = solve_vi(data, pen)
         u_ref = oracle_solve_vi(data)
         ref_norm = hsigma_norm(u_ref, data.sigma)

@@ -29,6 +29,7 @@ assembles its Jacobians from), and gradient_rows gives the rows of the
 latter at chosen nodes (which the Krylov preconditioner corrects).  Each
 comes from one transform of an impulse, gathered at the wrapped node
 differences, since every multiplier is translation invariant on the torus.
+gram_spectrum decomposes M once per mask and keeps only two scalars.
 
 Sampled diagnostics draw and transform their random fields as the rows of
 one (count, *grid.shape) stack, transformed in stacks of at most
@@ -50,7 +51,6 @@ from scipy.special import zeta as sp_zeta
 
 from .fields import DomainMask, Grid, ScalarField, VectorField, lp_norm
 
-QUADRATURE_NODE_LIMIT = 4096
 DENSE_UNKNOWN_LIMIT = 4096
 
 # Grid values per stacked transform of sampled fields: every 1D sample of a
@@ -223,12 +223,10 @@ def frac_laplacian(u: ScalarField, order: FracOrder | float) -> ScalarField:
     return ScalarField(u.grid, apply_symbol(u.values, mag_sigma**2))
 
 
-def _check_dense_limit(mask: DomainMask) -> int:
-    m = mask.num_inside
-    if m > DENSE_UNKNOWN_LIMIT:
-        raise ValueError(f"too many unknowns for a dense matrix ({m} inside "
-                         f"nodes, limit {DENSE_UNKNOWN_LIMIT})")
-    return m
+def check_dense_limit(mask: DomainMask) -> None:
+    if mask.num_inside > DENSE_UNKNOWN_LIMIT:
+        raise ValueError(f"too many unknowns for a dense matrix ({mask.num_inside} "
+                         f"inside nodes, limit {DENSE_UNKNOWN_LIMIT})")
 
 
 def _impulse(grid: Grid) -> np.ndarray:
@@ -259,7 +257,7 @@ def gram_matrix(mask: DomainMask, sigma: float) -> np.ndarray:
     M_ij = K((x_i - x_j) mod n) with K its response to an impulse at node 0.
     Dense, so limited to DENSE_UNKNOWN_LIMIT inside nodes.
     """
-    _check_dense_limit(mask)
+    check_dense_limit(mask)
     grid = mask.grid
     _, mag_sigma = multiplier_table(grid, as_sigma(sigma))
     kernel = apply_symbol(_impulse(grid), mag_sigma**2).ravel()
@@ -306,16 +304,20 @@ def gradient_matrix(mask: DomainMask, sigma: float) -> np.ndarray:
     return rows.reshape(grid.dim * grid.num_nodes, mask.num_inside)
 
 
-def certified_spectrum(M: np.ndarray) -> tuple | None:
-    """(lam, V) of the symmetric M = V diag(lam) V^T, each eigenvalue lowered
-    by the Weyl margin m eps_mach max|lam| so that round-off in eigh cannot
-    raise it above the exact one; None when the lowered least eigenvalue is
-    not positive, i.e. when M is not certified positive definite."""
-    lam, vecs = np.linalg.eigh(M)
+@lru_cache(maxsize=32)
+def gram_spectrum(grid: Grid, sigma: float, inside: bytes) -> tuple | None:
+    """(lam_min, max_i (M^-1)_ii) of the Gram matrix M = V diag(lam) V^T
+    (gram_matrix) of the mask whose inside flags are the bytes `inside`,
+    each lam lowered by the Weyl margin m eps_mach max|lam| so that
+    round-off in eigh cannot raise it; None when the lowered lam_min is not
+    positive, i.e. M is not certified positive definite.  Only the two
+    floats are cached: M and V are freed on return."""
+    mask = DomainMask(grid, np.frombuffer(inside, dtype=bool).reshape(grid.shape), 0.0)
+    lam, vecs = np.linalg.eigh(gram_matrix(mask, sigma))
     lam = lam - len(lam) * np.finfo(float).eps * np.abs(lam).max()
     if lam[0] <= 0.0:
         return None
-    return lam, vecs
+    return float(lam[0]), float(((vecs**2) @ (1.0 / lam)).max())
 
 
 def assert_supported(u: ScalarField, mask: DomainMask, tol: float = 1e-14) -> None:
@@ -358,13 +360,14 @@ def quadrature_frac_gradient(u: ScalarField, order: FracOrder | float) -> Vector
     omega_N r^(1-sigma) / (1-sigma); the slope factor is taken from centred
     differences, independent of the spectral route.  Treats u as
     identically zero outside the box, so it is accurate only for fields
-    vanishing near the border.  Dense O(M^2) cost; small grids only.
+    vanishing near the border.  Dense O(M^2) cost, so limited to
+    DENSE_UNKNOWN_LIMIT grid nodes.
     """
     sigma = as_sigma(order)
     grid = u.grid
-    if grid.num_nodes > QUADRATURE_NODE_LIMIT:
-        raise ValueError(
-            f"grid too large for dense quadrature ({grid.num_nodes} nodes)")
+    if grid.num_nodes > DENSE_UNKNOWN_LIMIT:
+        raise ValueError(f"grid too large for dense quadrature ({grid.num_nodes} "
+                         f"nodes, limit {DENSE_UNKNOWN_LIMIT})")
     if sigma >= 1.0:
         raise ValueError("quadrature form requires sigma < 1")
     dim = grid.dim

@@ -109,13 +109,12 @@ def _qvi_base() -> QVIProblem:
     return QVIProblem(base.mask, base.sigma, base.A, base.f)
 
 
-@lru_cache(maxsize=None)
 def estimated_constants_1d() -> tuple:
     """(sobolev C*, poincare C_P) for the 1D mask, both certified upper
     bounds from the restricted Gram matrix."""
     base = binding_1d()
-    return (estimate_sobolev_constant(base.grid, base.mask, base.sigma),
-            estimate_poincare_constant(base.grid, base.mask, base.sigma))
+    return (estimate_sobolev_constant(base.mask, base.sigma),
+            estimate_poincare_constant(base.mask, base.sigma))
 
 
 @lru_cache(maxsize=None)

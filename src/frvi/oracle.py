@@ -42,6 +42,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .fields import ScalarField, VectorField, lp_norm, magnitude
 from .fracgrad import (
     apply_symbol,
+    check_dense_limit,
     grad_arrays,
     gram_matrix,
     multiplier_table,
@@ -54,8 +55,6 @@ from .vi import (
     energy,
     sample_feasible,
 )
-
-ORACLE_NODE_LIMIT = 16384
 
 # differences kept by the Anderson acceleration of the sweep
 ANDERSON_MEMORY = 5
@@ -184,6 +183,13 @@ def oracle_solve_pde(data: ProblemData) -> ScalarField:
     return u
 
 
+def check_oracle_input(data: ProblemData) -> None:
+    """ValueError unless A is symmetric and the mask within the dense limit."""
+    if not data.A.is_symmetric:
+        raise ValueError("oracle requires symmetric coefficients")
+    check_dense_limit(data.mask)
+
+
 def oracle_solve_vi(data: ProblemData, rho: float = 1.0, tol: float = 1e-9,
                     max_iter: int = 4000) -> ScalarField:
     """Splitting solve of the symmetric constrained program.
@@ -196,8 +202,7 @@ def oracle_solve_vi(data: ProblemData, rho: float = 1.0, tol: float = 1e-9,
     when both residuals of a sweep are below tol (relative to 1 + |D^s u|);
     max_iter bounds the sweeps, so the linear solves.
     """
-    if not data.A.is_symmetric:
-        raise ValueError("oracle requires symmetric coefficients")
+    check_oracle_input(data)
     if not 0.0 < rho < math.inf:
         raise ValueError(f"need a finite rho > 0, got {rho}")
     if not 0.0 < tol < math.inf:
@@ -206,8 +211,6 @@ def oracle_solve_vi(data: ProblemData, rho: float = 1.0, tol: float = 1e-9,
             or max_iter < 1:
         raise ValueError(f"need an integer max_iter >= 1, got {max_iter!r}")
     grid = data.grid
-    if grid.num_nodes > ORACLE_NODE_LIMIT:
-        raise ValueError("grid too large for the oracle")
     inside = data.mask.inside
     f_in = data.f.values[inside]
     sigma = data.sigma

@@ -13,10 +13,9 @@ import numpy as np
 from .fields import DomainMask, Grid, ScalarField, lp_norm
 from .fracgrad import (
     band_limited_stack,
-    certified_spectrum,
     grad_arrays,
     grad_stack,
-    gram_matrix,
+    gram_spectrum,
     hsigma_norm,
 )
 from .vi import (
@@ -45,46 +44,40 @@ def sobolev_exponents(dim: int, sigma: float) -> tuple:
     return math.inf, 1.0
 
 
-def _embedding_bounds(mask: DomainMask, sigma: float) -> tuple:
-    """Certified upper bounds (C_inf, C_P) of ||u||_Linf(Omega) <= C_inf
-    ||u||_Hsigma and ||u||_L2 <= C_P ||u||_Hsigma for u supported in the mask.
-
-    With ||u||_Hsigma^2 = h^N x^T M x (gram_matrix), C_P^2 = 1/lam_min(M) and
-    C_inf^2 = max_i (M^-1)_ii / h^N exactly, attained by the lam_min
-    eigenvector and by M^-1 e_i.  Each eigenvalue is first lowered by the
-    Weyl margin m eps_mach max|lam| (certified_spectrum), so round-off
-    cannot lower a bound.
-    """
-    spectrum = certified_spectrum(gram_matrix(mask, sigma))
+def _gram_spectrum(mask: DomainMask, sigma: float) -> tuple:
+    """gram_spectrum of the mask; ValueError above the dense limit or when M is singular."""
+    spectrum = gram_spectrum(mask.grid, sigma, mask.inside.tobytes())
     if spectrum is None:
         raise ValueError("Gram matrix is singular: no Poincare inequality on this mask")
-    lam, vecs = spectrum
-    diag_inverse = (vecs**2) @ (1.0 / lam)
-    c_inf = math.sqrt(float(diag_inverse.max()) / mask.grid.cell_volume)
-    return c_inf, 1.0 / math.sqrt(float(lam[0]))
+    return spectrum
 
 
-def estimate_sobolev_constant(grid: Grid, mask: DomainMask, sigma: float) -> float:
+def estimate_poincare_constant(mask: DomainMask, sigma: float) -> float:
+    """Certified upper bound C_P on the discrete constant of ||u||_L2 <= C
+    ||u||_Hsigma for u supported in the mask.  With ||u||_Hsigma^2 = h^N x^T
+    M x (gram_matrix), C_P^2 = 1/lam_min(M) exactly, attained by the lam_min
+    eigenvector; gram_spectrum's lowered lam_min cannot lower the bound."""
+    return 1.0 / math.sqrt(_gram_spectrum(mask, sigma)[0])
+
+
+def estimate_sup_constant(mask: DomainMask, sigma: float) -> float:
+    """Certified upper bound C_inf on the discrete constant of
+    ||u||_Linf(Omega) <= C ||u||_Hsigma: C_inf^2 = max_i (M^-1)_ii / h^N
+    exactly, attained by M^-1 e_i, from the same lowered spectrum."""
+    return math.sqrt(_gram_spectrum(mask, sigma)[1] / mask.grid.cell_volume)
+
+
+def estimate_sobolev_constant(mask: DomainMask, sigma: float) -> float:
     """Certified upper bound on the constant of ||u||_L2* <= C ||u||_Hsigma:
     C_inf when 2* = inf, else C_inf^(1-2/p) C_P^(2/p) with p = 2*, since
-    ||u||_p <= ||u||_inf^(1-2/p) ||u||_2^(2/p).  Raises ValueError above
-    gram_matrix's dense limit or when M is singular (a full torus)."""
-    two_star, _ = sobolev_exponents(grid.dim, sigma)
-    c_inf, c_p = _embedding_bounds(mask, sigma)
+    ||u||_p <= ||u||_inf^(1-2/p) ||u||_2^(2/p).  Each estimate raises
+    ValueError above the dense limit or when M is singular (a full torus)."""
+    two_star, _ = sobolev_exponents(mask.grid.dim, sigma)
+    c_inf = estimate_sup_constant(mask, sigma)
     if math.isinf(two_star):
         return c_inf
+    c_p = 1.0 / math.sqrt(_gram_spectrum(mask, sigma)[0])
     return c_inf ** (1.0 - 2.0 / two_star) * c_p ** (2.0 / two_star)
-
-
-def estimate_poincare_constant(grid: Grid, mask: DomainMask, sigma: float) -> float:
-    """Certified upper bound on the discrete constant of ||u||_L2 <= C ||u||_Hsigma."""
-    return _embedding_bounds(mask, sigma)[1]
-
-
-def estimate_sup_constant(grid: Grid, mask: DomainMask, sigma: float) -> float:
-    """Certified upper bound C_inf on the discrete constant of
-    ||u||_Linf(Omega) <= C ||u||_Hsigma."""
-    return _embedding_bounds(mask, sigma)[0]
 
 
 # -- threshold operators -----------------------------------------------------

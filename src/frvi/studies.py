@@ -90,8 +90,8 @@ def lipschitz_study_f(base: ProblemData, deltas: list,
         ratios_sharp.append(du / dn_sharp)
         ratios_l1.append(du / dn_l1)
         rows.append([i, dn_sharp, dn_l1, du / dn_sharp, du / dn_l1, "solved"])
-    c_inf = estimate_sup_constant(base.grid, base.mask, base.sigma)
-    c_star = estimate_sobolev_constant(base.grid, base.mask, base.sigma)
+    c_inf = estimate_sup_constant(base.mask, base.sigma)
+    c_star = estimate_sobolev_constant(base.mask, base.sigma)
     c_sharp = c_star / base.A.a_star
     checks = [
         BoundCheck("lipschitz_2sharp", max(ratios_sharp, default=0.0), c_sharp,
@@ -131,7 +131,7 @@ def holder_study_g(base: ProblemData, t_values: list, h_direction: ScalarField,
         rho = du / math.sqrt(t * h_inf)
         rhos.append((t, rho))
         rows.append([t, du, rho, "solved"])
-    c_inf = estimate_sup_constant(base.grid, base.mask, base.sigma)
+    c_inf = estimate_sup_constant(base.mask, base.sigma)
     c_nu, f_l1 = _holder_constant(base, c_inf)
     rho_vals = [r for _, r in rhos]
     checks = [BoundCheck("holder_bound", max(rho_vals, default=0.0), c_nu,
@@ -229,7 +229,7 @@ def mosco_diagnostic(data: ProblemData, g_sequence: list,
         rows.append([i, gap, dev])
         devs.append(dev)
         gaps.append(gap)
-    c_inf = estimate_sup_constant(data.grid, data.mask, data.sigma)
+    c_inf = estimate_sup_constant(data.mask, data.sigma)
     c_nu, _ = _holder_constant(data, c_inf)
     checks = []
     order = np.argsort(gaps)

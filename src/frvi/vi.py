@@ -33,11 +33,11 @@ from .fracgrad import (
     apply_symbol,
     assert_supported,
     band_limited_stack,
-    certified_spectrum,
     grad_arrays,
     grad_stack,
     gradient_matrix,
     gradient_rows,
+    gram_spectrum,
     hsigma_norm,
     multiplier_table,
     neg_div_arrays,
@@ -300,27 +300,24 @@ def penalized_residual(u: ScalarField, data: ProblemData, eps: float) -> ScalarF
 
 
 def _dense_gradient(mask: DomainMask, sigma: float) -> np.ndarray | None:
-    """gradient_matrix for the dense Newton path, or None when the problem
-    takes the Krylov path: N * num_nodes * m^2 above DENSE_NEWTON_BUDGET
-    (decided from the sizes alone, before anything is built), or G without
-    full column rank."""
+    """gradient_matrix G for the dense Newton path, built once per mask, or
+    None for the Krylov path: N * num_nodes * m^2 above DENSE_NEWTON_BUDGET
+    (nothing is built), or M = G^T G not certified positive definite
+    (gram_spectrum), when LU would miss a kernel mode of G."""
     grid = mask.grid
-    m = mask.num_inside
-    if grid.dim * grid.num_nodes * m * m > DENSE_NEWTON_BUDGET:
+    if grid.dim * grid.num_nodes * mask.num_inside**2 > DENSE_NEWTON_BUDGET:
         return None
-    return _full_rank_gradient(grid, sigma, mask.inside.tobytes())
+    inside = mask.inside.tobytes()
+    if gram_spectrum(grid, sigma, inside) is None:
+        return None
+    return _cached_gradient_matrix(grid, sigma, inside)
 
 
 @lru_cache(maxsize=16)
-def _full_rank_gradient(grid: Grid, sigma: float, inside: bytes) -> np.ndarray | None:
-    """G of the mask whose inside flags are the bytes `inside`, or None when
-    G^T G (the Gram matrix) is not certified positive definite: then LU
-    would return a solution off by a kernel mode of G, as the constant and
-    Nyquist modes are on the full torus."""
+def _cached_gradient_matrix(grid: Grid, sigma: float, inside: bytes) -> np.ndarray:
+    """Read-only gradient_matrix of the mask whose inside flags are `inside`."""
     flags = np.frombuffer(inside, dtype=bool).reshape(grid.shape)
     G = gradient_matrix(DomainMask(grid, flags, padding_fraction=0.0), sigma)
-    if certified_spectrum(G.T @ G) is None:
-        return None
     G.flags.writeable = False
     return G
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frvi.cli
+import frvi.fracgrad
 import frvi.vi
 from frvi.cli import EXIT_CONFIG, EXIT_OK, main, run
 from frvi.fields import make_grid, read_fvf, scalar_field, write_fvf
@@ -136,6 +138,49 @@ def test_binding_jobs_run_no_sampled_diagnostic(tmp_path, monkeypatch):
     assert calls == []
 
 
+SHIPPED_JOBS = [(sub, BINDING) for sub in (
+    "solve-vi", "oracle-check", "penalty-sweep", "study-lipschitz", "study-holder",
+    "study-sigma-limit", "study-mosco")] + [(sub, QVI) for sub in ("solve-qvi", "certificate")]
+
+
+def test_shipped_jobs_decompose_each_gram_matrix_once(tmp_path, monkeypatch):
+    # the rank test of the dense Newton path and the embedding constants
+    # read one certified spectrum per (mask, sigma); no job forms G^T G
+    products = []
+
+    class CountedGradient(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and all(isinstance(x, CountedGradient) for x in inputs):
+                products.append(ufunc)
+            plain = [x.view(np.ndarray) if isinstance(x, CountedGradient) else x
+                     for x in inputs]
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    eigh, gradient_matrix = np.linalg.eigh, frvi.vi.gradient_matrix
+    decomposed = []
+
+    def counted_eigh(a, *args, **kwargs):
+        decomposed.append(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest())
+        return eigh(a, *args, **kwargs)
+
+    def clear_caches():
+        frvi.fracgrad.gram_spectrum.cache_clear()
+        frvi.vi._cached_gradient_matrix.cache_clear()
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(frvi.vi, "gradient_matrix",
+                        lambda *args: gradient_matrix(*args).view(CountedGradient))
+    try:
+        for sub, cfg in SHIPPED_JOBS:
+            clear_caches()
+            decomposed.clear()
+            assert run(str(cfg), sub, out_dir=str(tmp_path / sub)) == EXIT_OK, sub
+            assert len(decomposed) == len(set(decomposed)), (sub, len(decomposed))
+            assert products == [], sub
+    finally:
+        clear_caches()  # no counted gradient outlives the test
+
+
 def test_unknown_subcommand_rejected(tmp_path):
     assert run(str(BINDING), "explode", out_dir=str(tmp_path)) == EXIT_CONFIG
 
@@ -251,6 +296,43 @@ def test_certificate_beyond_the_dense_limit_exits_config_error(tmp_path):
     assert "16129 inside nodes" in errors[0]["reason"]
 
 
+def _oracle_check_rejects(tmp_path, monkeypatch, cfg, reason):
+    # refused before the penalty solve, with no traceback
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_vi ran before the oracle's input checks")
+    monkeypatch.setattr(frvi.cli, "solve_vi", no_solve)
+    out = tmp_path / "out"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        assert run(str(cfg), "oracle-check", out_dir=str(out)) == EXIT_CONFIG
+    errors = _error_events(out)
+    assert [e["kind"] for e in errors] == ["config"]
+    assert reason in errors[0]["reason"]
+    assert "Traceback" not in stderr.getvalue()
+
+
+def test_oracle_check_beyond_the_dense_limit_exits_config_error(tmp_path, monkeypatch):
+    # 8191 inside nodes, above the 4096 a dense Gram matrix may have
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(BINDING.read_text().replace("resolution = 128", "resolution = 16384"))
+    _oracle_check_rejects(tmp_path, monkeypatch, cfg, "8191 inside nodes")
+
+
+def test_oracle_check_with_a_space_dependent_skew_part_exits_config_error(
+        tmp_path, monkeypatch):
+    # A = I + s(x) J, J the rotation by 90 degrees: a nonsymmetric A
+    grid = make_grid(2, 2.0, 16)
+    skew = 0.3 * np.cos(np.pi * grid.coordinates()[0] / 2.0)
+    A = np.eye(2) + skew[..., None, None] * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    np.save(tmp_path / "coef.npy", A)
+    cfg = tmp_path / "skew.cfg"
+    cfg.write_text((CONFIG_DIR / "binding2d.cfg").read_text().replace(
+        "resolution = 64", "resolution = 16").replace(
+        "coefficients = identity",
+        "coefficients = matrix-file:coef.npy\na_star = 1.0\na_upper = 1.1"))
+    _oracle_check_rejects(tmp_path, monkeypatch, cfg, "oracle requires symmetric coefficients")
+
+
 def test_missing_input_file_exits_config_error(tmp_path):
     cfg = tmp_path / "missing.cfg"
     cfg.write_text(BINDING.read_text().replace("g = constant:150.0",
@@ -328,42 +410,64 @@ JUNK = st.text(string.ascii_letters + "_!?", min_size=1, max_size=8).filter(
     lambda t: not _is_number(t))
 ALL = (NAN, INF, NEGATIVE, ZERO, JUNK)
 
-# each numeric key of binding1d.cfg: the subcommand that reads it, whether
-# the number sits in a constant:<c> spec, and the malformed values to try.
-# A negative or zero source f or delta and a negative h (taken as |h|) are
-# valid data, and t = 0, h = 0, delta = 0 and seed = 0 are valid inputs.
-NUMERIC_KEYS = {
-    "dim": ("solve-vi", False, ALL),
-    "extent": ("solve-vi", False, ALL),
-    "resolution": ("solve-vi", False, ALL),
-    "omega_halfwidth": ("solve-vi", False, ALL),
-    "sigma": ("solve-vi", False, ALL),
-    "f": ("solve-vi", True, (NAN, INF, JUNK)),
-    "g": ("solve-vi", True, ALL),
-    "nu": ("solve-vi", False, ALL),
-    "eps0": ("solve-vi", False, ALL),
-    "ratio": ("solve-vi", False, ALL),
-    "eps_min": ("solve-vi", False, ALL),
-    "newton_tol": ("solve-vi", False, ALL),
-    "newton_max": ("solve-vi", False, ALL),
-    "deltas": ("study-lipschitz", False, (NAN, INF, JUNK)),
-    "t_values": ("study-holder", False, (NAN, INF, NEGATIVE, JUNK)),
-    "h": ("study-holder", True, (NAN, INF, JUNK)),
-    "sigmas": ("study-sigma-limit", False, ALL),
-    "kmax": ("study-sigma-limit", False, ALL),
-    "factors": ("study-mosco", False, ALL),
-    "seed": ("study-sigma-limit", False, (NAN, INF, NEGATIVE, JUNK)),
+# each numeric value of the shipped configs: the config, its key, the
+# subcommand that reads it, the spec the number sits in ({} marks it), and
+# the malformed values to try.  A negative or zero source f, delta, mode
+# number or amplitude, a negative h (taken as |h|) and a zero c1 are valid
+# data, and t = 0, h = 0, delta = 0 and seed = 0 are valid inputs.  A file:
+# spec gets a name that no file has.  The binding1d.cfg cases are named by
+# their key, the others by spec or config.
+_BINDING_KEYS = {
+    "dim": ("solve-vi", "{}", ALL),
+    "extent": ("solve-vi", "{}", ALL),
+    "resolution": ("solve-vi", "{}", ALL),
+    "omega_halfwidth": ("solve-vi", "{}", ALL),
+    "sigma": ("solve-vi", "{}", ALL),
+    "f": ("solve-vi", "constant:{}", (NAN, INF, JUNK)),
+    "g": ("solve-vi", "constant:{}", ALL),
+    "nu": ("solve-vi", "{}", ALL),
+    "eps0": ("solve-vi", "{}", ALL),
+    "ratio": ("solve-vi", "{}", ALL),
+    "eps_min": ("solve-vi", "{}", ALL),
+    "newton_tol": ("solve-vi", "{}", ALL),
+    "newton_max": ("solve-vi", "{}", ALL),
+    "deltas": ("study-lipschitz", "{}", (NAN, INF, JUNK)),
+    "t_values": ("study-holder", "{}", (NAN, INF, NEGATIVE, JUNK)),
+    "h": ("study-holder", "constant:{}", (NAN, INF, JUNK)),
+    "sigmas": ("study-sigma-limit", "{}", ALL),
+    "kmax": ("study-sigma-limit", "{}", ALL),
+    "factors": ("study-mosco", "{}", ALL),
+    "seed": ("study-sigma-limit", "{}", (NAN, INF, NEGATIVE, JUNK)),
+}
+_QVI_KEYS = {key: ("solve-qvi",) + _BINDING_KEYS[key][1:] for key in (
+    "dim", "extent", "resolution", "omega_halfwidth", "sigma", "f", "g", "nu", "eps0",
+    "ratio", "eps_min", "newton_tol", "newton_max", "seed")}
+NUMERIC_VALUES = {
+    **{key: (BINDING, key) + case for key, case in _BINDING_KEYS.items()},
+    **{f"qvi-{key}": (QVI, key) + case for key, case in _QVI_KEYS.items()},
+    "f-mode-number": (BINDING, "f", "solve-vi", "mode:{}:100.0", (NAN, INF, JUNK)),
+    "f-mode-amplitude": (BINDING, "f", "solve-vi", "mode:2:{}", (NAN, INF, JUNK)),
+    "f-mode-truncated": (BINDING, "f", "solve-vi", "mode{}", (st.just(""), st.just(":2"))),
+    "f-file": (BINDING, "f", "solve-vi", "file:{}", (NAN, JUNK)),
+    "g-file": (BINDING, "g", "solve-vi", "file:{}", (NAN, JUNK)),
+    "h-mode-amplitude": (BINDING, "h", "study-holder", "mode:1:{}", (NAN, INF, JUNK)),
+    "coefficients-scale": (BINDING, "coefficients", "solve-vi", "scale:{}", ALL),
+    "qvi-phi": (QVI, "phi", "solve-qvi", "constant:{}", ALL),
+    "qvi-gamma-eta0": (QVI, "gamma", "solve-qvi", "integral:{}:0.00028", ALL),
+    "qvi-gamma-c1": (QVI, "gamma", "solve-qvi", "integral:1.0:{}", (NAN, INF, NEGATIVE, JUNK)),
+    "qvi-gamma-constant": (QVI, "gamma", "solve-qvi", "constant:{}", ALL),
+    "qvi-outer_tol": (QVI, "outer_tol", "solve-qvi", "{}", ALL),
+    "qvi-outer_max": (QVI, "outer_max", "solve-qvi", "{}", ALL),
 }
 
 
-@pytest.mark.parametrize("key", sorted(NUMERIC_KEYS))
+@pytest.mark.parametrize("case", sorted(NUMERIC_VALUES))
 @settings(derandomize=True, deadline=None, max_examples=10)
 @given(data=st.data())
-def test_malformed_numeric_value_exits_config_error(key, data):
-    subcommand, spec, kinds = NUMERIC_KEYS[key]
-    value = data.draw(st.one_of(*kinds))
-    value = f"constant:{value}" if spec else value
-    text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", BINDING.read_text(),
+def test_malformed_numeric_value_exits_config_error(case, data):
+    config, key, subcommand, spec, kinds = NUMERIC_VALUES[case]
+    value = spec.format(data.draw(st.one_of(*kinds)))
+    text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", config.read_text(),
                           flags=re.M)
     assert count == 1
     with tempfile.TemporaryDirectory() as tmp:
@@ -373,7 +477,7 @@ def test_malformed_numeric_value_exits_config_error(key, data):
         # run returns instead of raising: main prints no traceback
         with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
             status = run(str(cfg), subcommand, out_dir=str(out))
-        assert status == EXIT_CONFIG, (key, value)
+        assert status == EXIT_CONFIG, (case, value)
         errors = _error_events(out)
-        assert [e["kind"] for e in errors] == ["config"], (key, value)
+        assert [e["kind"] for e in errors] == ["config"], (case, value)
         assert "Traceback" not in stderr.getvalue()

@@ -1,8 +1,8 @@
 """Source-layout rules: private helpers stay inside their module, the
-Fourier transforms live in the spectral core (frvi.fracgrad) only, every
-name the benchmark's tracer wraps still exists (and the oracle's still
-do the counted work), every config key the CLI accepts is read, and
-nothing reads the environment."""
+Fourier transforms and the size limits live in the spectral core
+(frvi.fracgrad) only, every name the benchmark's tracer wraps still exists
+(and the oracle's still do the counted work), every config key the CLI
+accepts is read, and nothing reads the environment."""
 
 import ast
 import importlib.util
@@ -119,4 +119,19 @@ def test_no_environment_reads_in_src():
             if isinstance(node, ast.ImportFrom) and node.module == "os":
                 offenders += [f"{name}:{node.lineno} imports {a.name}"
                               for a in node.names if a.name in ("environ", "getenv")]
+    assert not offenders, offenders
+
+
+def test_size_limits_only_in_fracgrad():
+    # one dense size limit: a second *_LIMIT constant elsewhere would be a
+    # second rule for the same decision
+    offenders = []
+    for name, tree in _modules():
+        if name == "fracgrad.py":
+            continue
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                getattr(node, "target", None)]
+            offenders += [f"{name}:{node.lineno} defines {t.id}" for t in targets
+                          if isinstance(t, ast.Name) and t.id.endswith("_LIMIT")]
     assert not offenders, offenders

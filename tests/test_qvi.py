@@ -63,7 +63,7 @@ def test_sobolev_exponents_regimes():
 def test_constant_estimates_positive_and_finite():
     base = binding_1d()
     for sigma in (0.5, 0.9):
-        est = estimate_sobolev_constant(base.grid, base.mask, sigma)
+        est = estimate_sobolev_constant(base.mask, sigma)
         assert np.isfinite(est) and est > 0.0
 
 
@@ -73,7 +73,7 @@ def test_constant_estimate_grid_refinement_stable():
     for n in (64, 128):
         g = make_grid(1, 2.0, n)
         m = mask_box(g, 1.0)
-        vals[n] = estimate_sobolev_constant(g, m, sigma)
+        vals[n] = estimate_sobolev_constant(m, sigma)
     assert abs(vals[128] - vals[64]) <= 0.10 * max(vals.values())
 
 
@@ -87,8 +87,8 @@ def test_certified_constants_are_attained_and_bound_samples(instance, c_star_ref
     mask, sigma = data.mask, data.sigma
     grid = mask.grid
     two_star, _ = sobolev_exponents(grid.dim, sigma)
-    c_star = estimate_sobolev_constant(grid, mask, sigma)
-    c_p = estimate_poincare_constant(grid, mask, sigma)
+    c_star = estimate_sobolev_constant(mask, sigma)
+    c_p = estimate_poincare_constant(mask, sigma)
     assert c_star == pytest.approx(c_star_ref, abs=5e-5)
     assert c_p == pytest.approx(c_p_ref, abs=5e-6)
     M = gram_matrix(mask, sigma)
@@ -126,10 +126,10 @@ def test_certified_constants_are_attained_and_bound_samples(instance, c_star_ref
 def test_constants_reject_singular_and_oversized_gram_matrices():
     grid = make_grid(1, 2.0, 64)
     with pytest.raises(ValueError, match="singular"):
-        estimate_poincare_constant(grid, full_torus(grid), 0.5)
+        estimate_poincare_constant(full_torus(grid), 0.5)
     big = make_grid(2, 2.0, 128)
     with pytest.raises(ValueError, match="dense"):
-        estimate_sobolev_constant(big, mask_box(big, 1.5, min_padding=0.1), 0.4)
+        estimate_sobolev_constant(mask_box(big, 1.5, min_padding=0.1), 0.4)
 
 
 def test_separated_with_constant_gamma_is_static():

@@ -129,14 +129,14 @@ def test_certified_sup_constant_bounds_sampled_quotients(base):
     fields += [sample_feasible(base, rng) for _ in range(20)]
     sampled = max(float(np.abs(u.values).max()) / hsigma_norm(u, base.sigma)
                   for u in fields)
-    c_inf = estimate_sup_constant(base.grid, base.mask, base.sigma)
+    c_inf = estimate_sup_constant(base.mask, base.sigma)
     assert sampled > 0.0
     assert c_inf >= sampled
 
 
 def test_studies_report_the_certified_sup_constant(base):
     rep = lipschitz_study_f(base, [ScalarField(base.grid, 0.1 * base.f.values)], VI_CFG)
-    c_inf = estimate_sup_constant(base.grid, base.mask, base.sigma)
+    c_inf = estimate_sup_constant(base.mask, base.sigma)
     assert rep.constants["C_inf"] == c_inf
     assert rep.checks[1].bound == c_inf / base.A.a_star
 

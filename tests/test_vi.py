@@ -809,7 +809,7 @@ def test_solve_vi_apriori_bound(binding_solution):
 
     data = small_binding_1d()
     _, two_sharp = sobolev_exponents(data.grid.dim, data.sigma)
-    c_star = estimate_sobolev_constant(data.grid, data.mask, data.sigma)
+    c_star = estimate_sobolev_constant(data.mask, data.sigma)
     bound = c_star / data.A.a_star * lp_norm(data.f, two_sharp, data.mask)
     assert hsigma_norm(binding_solution.u, data.sigma) <= bound
 
