@@ -78,12 +78,14 @@ def make_grid(dim: int, extent: float, resolution: int) -> Grid:
     return Grid(dim=int(dim), extent=float(extent), resolution=int(resolution))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DomainMask:
     """Boolean sub-domain marker on a grid (True = node inside Omega).
 
     box_halfwidth is set when the mask came from mask_box; generic masks
     leave it None (some sampling helpers then fall back to the indicator).
+    Masks compare and hash by value: grid, padding, box half-width and the
+    inside flags.
     """
 
     grid: Grid
@@ -99,6 +101,18 @@ class DomainMask:
             raise ValueError("mask shape does not match grid")
         if not inside.any():
             raise ValueError("mask has no inside nodes")
+
+    def _key(self) -> tuple:
+        return (self.grid, self.padding_fraction, self.box_halfwidth,
+                self.inside.tobytes())
+
+    def __eq__(self, other):
+        if not isinstance(other, DomainMask):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def num_inside(self) -> int:
@@ -190,6 +204,13 @@ def magnitude(w) -> np.ndarray:
     """Pointwise Euclidean norm of a stacked (N, *grid.shape) array or a
     sequence of N component arrays."""
     return np.sqrt(sum(c * c for c in w))
+
+
+def ball_projection(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Nodewise Euclidean projection of a stacked (N, *grid.shape) array
+    onto {|v(x)| <= g(x)}."""
+    mag = magnitude(v)
+    return np.where(mag > g, g / np.where(mag > 0, mag, 1.0), 1.0) * v
 
 
 def scalar_field(grid: Grid, values) -> ScalarField:

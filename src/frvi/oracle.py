@@ -39,7 +39,7 @@ import numbers
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .fields import ScalarField, VectorField, lp_norm, magnitude
+from .fields import ScalarField, VectorField, ball_projection, lp_norm, magnitude
 from .fracgrad import (
     apply_symbol,
     check_dense_limit,
@@ -62,16 +62,9 @@ ANDERSON_MEMORY = 5
 ANDERSON_SAFEGUARD = 1.5
 
 
-def _project(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Nodewise Euclidean projection of a stacked (N, *grid.shape) array
-    onto {|v(x)| <= g(x)}."""
-    mag = magnitude(v)
-    return np.where(mag > g, g / np.where(mag > 0, mag, 1.0), 1.0) * v
-
-
 def project_ball(w: VectorField, g: Threshold) -> VectorField:
     """Nodewise Euclidean projection onto {|w(x)| <= g(x)}."""
-    return VectorField(w.grid, tuple(_project(np.stack(w.components), g.g.values)))
+    return VectorField(w.grid, tuple(ball_projection(np.stack(w.components), g.g.values)))
 
 
 def _constant_scalar(A) -> float | None:
@@ -243,7 +236,7 @@ def oracle_solve_vi(data: ProblemData, rho: float = 1.0, tol: float = 1e-9,
             raise ValueError("array must not contain infs or NaNs")
         u_vals[inside] = cho_solve(chol, rhs, check_finite=False) * scale
         du = grad_arrays(u_vals, grid, sigma)
-        image[0] = _project(du + y, g_vals)
+        image[0] = ball_projection(du + y, g_vals)
         image[1] = y + du - image[0]
         primal = float(np.sqrt(hN * np.sum((du - image[0]) ** 2)))
         dual_field = neg_div_arrays(image[0] - w, grid, sigma)[inside]

@@ -25,6 +25,7 @@ from .fields import (
     DomainMask,
     Grid,
     ScalarField,
+    ball_projection,
     inner,
     magnitude,
 )
@@ -56,6 +57,13 @@ NEWTON_FORCING = 1e-2
 # (the flops of one assembly, m inside nodes) is at most this; above it the
 # matrix-free Krylov path is faster (README "Numerical notes").
 DENSE_NEWTON_BUDGET = 2**23
+
+# The splitting start of a cold dense solve (_splitting_start): its ADMM
+# penalty, the relative tolerance of its primal and dual residuals, and its
+# sweep cap.
+SEED_RHO = 1.0
+SEED_TOL = 1e-3
+SEED_SWEEPS = 50
 
 
 class SolverDivergence(RuntimeError):
@@ -834,6 +842,39 @@ def _scaled_stages(data: ProblemData, cfg: PenaltyConfig, gram: _ActiveGram) -> 
     return ScalarField(data.grid, u.values / prev_mu), iters
 
 
+def _splitting_start(data: ProblemData, cfg: PenaltyConfig) -> ScalarField:
+    """Loose splitting (ADMM) solve of the constrained minimization of
+    1/2 <A D^sigma u, D^sigma u> - <f, u>, the start of a cold dense solve
+    whose applied coefficient is symmetric.
+
+    Plain sweeps from (w, y) = 0 at penalty SEED_RHO: the linear step in u
+    with the gradient target w and scaled dual y fixed, the ball projection
+    of D^sigma u + y for w, and the dual ascent.  The linear step's matrix
+    G^T (A + rho) G is _PenalizedSystem.assemble(rho), positive definite
+    because gram_spectrum certified G; each sweep solves it by LU with one
+    right-hand side, the LAPACK call of the Newton path (README "Numerical
+    notes" says why not a factor or an inverse kept across sweeps).  Stops
+    when the primal and dual residuals are at most SEED_TOL (1 +
+    |D^sigma u|), or after SEED_SWEEPS sweeps; either way it returns the
+    last u."""
+    grid = data.grid
+    hN = grid.cell_volume
+    sys = _PenalizedSystem(data, cfg.eps0)
+    matrix = sys.assemble(np.full(grid.shape, SEED_RHO))
+    w = y = np.zeros((grid.dim,) + grid.shape)
+    for _ in range(SEED_SWEEPS):
+        x = np.linalg.solve(matrix, sys.f_inside + SEED_RHO * sys.neg_div(w - y))
+        du = sys.gradient(x)
+        w_next = ball_projection(du + y, sys.g)
+        y = y + du - w_next
+        primal = math.sqrt(hN * float(np.sum((du - w_next) ** 2)))
+        dual = SEED_RHO * math.sqrt(hN * float(np.sum(sys.neg_div(w_next - w) ** 2)))
+        w = w_next
+        if max(primal, dual) <= SEED_TOL * (1.0 + math.sqrt(hN * float(np.sum(du**2)))):
+            break
+    return ScalarField(grid, sys.unpack(x))
+
+
 def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
              init: ScalarField | None = None, shrink: bool = False) -> VISolution:
     """Continuation solve of the constrained problem.
@@ -843,14 +884,25 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
     newton_tol in the fractional Sobolev norm; the multiplier is the
     penalty coefficient at the final eps.
 
-    A cold start (init None or all zero) of a problem on the Krylov path
-    (see _dense_gradient) first runs the scaled-data stages of
-    _scaled_stages, which lengthen the schedule by two eps steps above eps0
-    and cut the Krylov iterations of the first eps step; their Newton steps
-    are counted in trace[0].newton_iters.  The dense path has no Krylov work
-    to save and starts the schedule from zero.  On the Krylov path the
-    stages and every eps step share one _ActiveGram, the Gram matrix the
-    preconditioner's correction is gathered from.
+    A cold start (init None or all zero) takes one of three paths into the
+    first eps step:
+    - on the Krylov path (see _dense_gradient), the scaled-data stages of
+      _scaled_stages, which lengthen the schedule by two eps steps above
+      eps0 and cut the Krylov iterations of the first eps step; their
+      Newton steps are counted in trace[0].newton_iters.  The stages and
+      every eps step share one _ActiveGram, the Gram matrix the
+      preconditioner's correction is gathered from;
+    - on the dense path with a symmetric applied coefficient, the loose
+      splitting solve of _splitting_start, whose iterate lies near the
+      constrained solution that the whole schedule approaches;
+    - on the dense path with a skew part that varies in space, zero.
+    From the third eps step on, each step starts from the secant
+    prediction u2 + (eps - eps2) / (eps2 - eps1) (u2 - u1) through the last
+    two iterates (eps1, u1) and (eps2, u2) of this call, on both paths.  A
+    SolverDivergence from a predicted start (the splitting start or the
+    secant) reruns the step from the unpredicted one (zero, or u2), and
+    that step's trace row counts the Newton steps of both attempts.  Each
+    penalized solve converges to newton_tol whatever its start.
 
     Feasibility is only reached asymptotically along the schedule; with
     shrink=True the returned u is additionally scaled by nu/(nu + eta)
@@ -861,24 +913,40 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
     cfg = cfg or PenaltyConfig()
     grid = data.grid
     u = init if init is not None else ScalarField(grid, np.zeros(grid.shape))
+    cold = not np.any(u.values)
+    guess = u  # the start of the next eps step
     stage_iters = 0
     gram = None
     if _dense_gradient(data.mask, data.sigma) is None:
         gram = _ActiveGram(data.mask, data.sigma)
-        if not np.any(u.values):
+        if cold:
             u, stage_iters = _scaled_stages(data, cfg, gram)
+            guess = u
+    elif cold and data.A.applied.is_symmetric:
+        guess = _splitting_start(data, cfg)
     trace = []
-    prev = None
+    path = []  # (eps, iterate) of the last two eps steps
     for eps in cfg.schedule():
-        u, iters = _solve_penalized_impl(data, eps, u, cfg, gram)
+        if len(path) == 2:
+            (eps1, u1), (eps2, u2) = path
+            guess = ScalarField(grid, u2.values + (eps - eps2) / (eps2 - eps1)
+                                * (u2.values - u1.values))
+        try:
+            u_next, iters = _solve_penalized_impl(data, eps, guess, cfg, gram)
+        except SolverDivergence as exc:
+            if guess is u:
+                raise
+            u_next, iters = _solve_penalized_impl(data, eps, u, cfg, gram)
+            iters += len(exc.history)
+        u = guess = u_next
         row, k = _trace_row(data, u, eps, iters)
         trace.append(row)
-        if prev is not None:
+        if path:
             delta = hsigma_norm(
-                ScalarField(grid, u.values - prev.values), data.sigma)
+                ScalarField(grid, u.values - path[-1][1].values), data.sigma)
             if delta < cfg.newton_tol:
                 break
-        prev = u
+        path = path[-1:] + [(eps, u)]
     trace[0].newton_iters += stage_iters
     last = trace[-1]
     viol, en = last.feas_violation, last.energy

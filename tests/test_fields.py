@@ -78,6 +78,21 @@ def test_full_torus_mask():
     assert m.is_full and m.num_inside == 64
 
 
+def test_masks_compare_and_hash_by_value():
+    from frvi.fields import DomainMask
+
+    g = make_grid(1, 2.0, 32)
+    a, b = mask_box(g, 1.0), mask_box(g, 1.0)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    # the same flags with another padding or no box half-width differ
+    assert a != DomainMask(g, a.inside, a.padding_fraction)
+    assert a != DomainMask(g, a.inside, 0.1, box_halfwidth=1.0)
+    assert a != mask_box(g, 0.5)
+    assert a != mask_box(make_grid(1, 2.0, 64), 1.0)
+    assert a != full_torus(g) and a != "mask"
+
+
 def test_lp_norm_constant_one():
     g = make_grid(1, 1.0, 64)
     f = scalar_field(g, 1.0)

@@ -135,3 +135,21 @@ def test_size_limits_only_in_fracgrad():
             offenders += [f"{name}:{node.lineno} defines {t.id}" for t in targets
                           if isinstance(t, ast.Name) and t.id.endswith("_LIMIT")]
     assert not offenders, offenders
+
+
+def test_vi_imports_nothing_from_the_oracle():
+    # the penalty route is what the oracle checks: a solve_vi that called
+    # into frvi.oracle (for its start, say) would no longer be independent
+    tree = ast.parse((SRC / "vi.py").read_text(encoding="utf-8"))
+    offenders = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["frvi" if node.level else "", node.module]))
+            names = [module] + [f"{module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        if any(n == "frvi.oracle" or n.startswith("frvi.oracle.") for n in names):
+            offenders.append(f"vi.py:{node.lineno}")
+    assert not offenders, offenders

@@ -33,6 +33,7 @@ from frvi.instances import (
     inactive_1d,
     nonsymmetric_2d,
     qvi_kernel_1d,
+    qvi_separated_certified,
     small_binding_1d,
 )
 from frvi.qvi import solve_qvi
@@ -519,6 +520,109 @@ def test_only_the_cold_first_qvi_inner_solve_runs_stages(monkeypatch):
     f_sup = float(np.abs(inst.problem.f.values).max())
     scaled = [i for i, (_, f, _) in enumerate(calls) if f != f_sup]
     assert scaled == [0, 1]  # the stages of the cold first solve only
+
+
+# -- predicted starts: the splitting start and the secant start ---------------
+
+
+def _qvi_first_inner_problem():
+    """The data of qvi_separated_certified's cold first inner solve."""
+    inst = qvi_separated_certified()
+    grid = inst.problem.mask.grid
+    return inst.problem.with_threshold(inst.operator.apply(zero_field(grid)))
+
+
+def _variable_skew_binding_16():
+    # dense (N n m^2 = 1.2e6, m = 49), but A's skew part varies in space
+    grid = make_grid(2, 2.0, 16)
+    mask = mask_box(grid, 1.0)
+    skew = 0.3 * np.cos(0.5 * np.pi * grid.coordinates()[0])
+    f = ScalarField(grid, np.where(mask.inside, 200.0, 0.0))
+    return ProblemData(mask, 0.4, _skew_coefficients(grid, skew), f,
+                       Threshold(scalar_field(grid, 187.0), 187.0))
+
+
+def _count_seeds(monkeypatch):
+    calls = []
+    seed = frvi.vi._splitting_start
+
+    def counted(data, cfg):
+        calls.append(data)
+        return seed(data, cfg)
+    monkeypatch.setattr(frvi.vi, "_splitting_start", counted)
+    return calls
+
+
+@pytest.mark.parametrize("instance, cfg", [
+    (binding_1d, VI_CFG), (small_binding_1d, VI_CFG),
+    (_qvi_first_inner_problem, QVI_INNER_CFG)])
+def test_seeded_and_unseeded_dense_solves_agree(monkeypatch, instance, cfg):
+    data = instance()
+    seeds = _count_seeds(monkeypatch)
+    seeded = solve_vi(data, cfg)
+    assert len(seeds) == 1
+    monkeypatch.setattr(frvi.vi, "_splitting_start", lambda data, cfg: zero_field(data.grid))
+    unseeded = solve_vi(data, cfg)
+    assert seeded.eps_final == unseeded.eps_final
+    u, lam = unseeded.u.values, unseeded.multiplier.values
+    assert np.abs(seeded.u.values - u).max() <= cfg.newton_tol * np.abs(u).max()
+    assert (np.abs(seeded.multiplier.values - lam).max()
+            <= cfg.newton_tol * max(1.0, np.abs(lam).max()))
+
+
+def test_binding_1d_first_eps_step_starts_near_the_solution():
+    # 20 Newton steps from u = 0
+    sol = solve_vi(binding_1d(), VI_CFG)
+    assert sol.trace[0].newton_iters <= 5
+
+
+@pytest.mark.parametrize("case", ["krylov", "nonzero-init", "variable-skew"])
+def test_no_splitting_start_off_the_symmetric_cold_dense_path(monkeypatch, case):
+    data, init = binding_1d(), None
+    if case == "krylov":
+        monkeypatch.setattr(frvi.vi, "DENSE_NEWTON_BUDGET", 0)
+    elif case == "nonzero-init":
+        init = sample_feasible(data, np.random.default_rng(0))
+    else:
+        data = _variable_skew_binding_16()
+        assert _PenalizedSystem(data, 0.5).G is not None
+        assert not data.A.applied.is_symmetric
+    seeds = _count_seeds(monkeypatch)
+    sol = solve_vi(data, VI_CFG, init=init)
+    assert seeds == []
+    assert sol.feas_violation <= 1e-3 * data.g.nu
+
+
+@pytest.mark.parametrize("path, step", [("dense", 0), ("dense", 2), ("krylov", 2)],
+                         ids=["dense-splitting", "dense-secant", "krylov-secant"])
+def test_divergence_from_a_predicted_start_reruns_the_step(monkeypatch, path, step):
+    # a predicted start that diverges is dropped for the unpredicted one:
+    # zero for the splitting start, the previous iterate for the secant
+    if path == "krylov":
+        monkeypatch.setattr(frvi.vi, "DENSE_NEWTON_BUDGET", 0)
+    data = binding_1d()
+    target = VI_CFG.schedule()[step]
+    calls = []  # (eps, start, iterate, Newton steps) on the unscaled data
+    impl = frvi.vi._solve_penalized_impl
+
+    def forced(d, eps, init, cfg, *gram):
+        if d is data and eps == target and all(c[0] != eps for c in calls):
+            calls.append((eps, init.values, None, None))
+            raise SolverDivergence("forced", iterate=init, history=[1.0] * 7)
+        u, iters = impl(d, eps, init, cfg, *gram)
+        if d is data:
+            calls.append((eps, init.values, u.values, iters))
+        return u, iters
+    monkeypatch.setattr(frvi.vi, "_solve_penalized_impl", forced)
+    sol = solve_vi(data, VI_CFG)
+    eps = [row.eps for row in sol.trace]
+    assert [c[0] for c in calls] == eps[:step + 1] + eps[step:]
+    previous = calls[step - 1][2] if step else np.zeros(data.grid.shape)
+    predicted, rerun = calls[step][1], calls[step + 1][1]
+    assert np.any(predicted != previous)
+    assert np.array_equal(rerun, previous)
+    assert sol.trace[step].newton_iters == 7 + calls[step + 1][3]
+    assert sol.feas_violation <= 1e-3 * data.g.nu
 
 
 def test_penalty_config_floor_enforced():
