@@ -298,16 +298,9 @@ def _operator_from_config(cfg, data: ProblemData):
         if parts[0] != "gaussian":
             raise ConfigError(f"unknown kernel spec {parts[0]!r}")
         width = float(parts[1])
-        if mask.grid.dim != 1:
-            raise ConfigError("kernel variants are configured for 1D runs")
-        x = mask.grid.axis()
-        xo = x[mask.inside.ravel()]
         if variant == "kernel":
-            kernel = np.exp(-(((x[:, None] - xo[None, :]) / width) ** 2))
-            return KernelIntegralOperator(mask, kernel, outer())
-        theta = np.exp(-(((xo[:, None] - x[None, :]) / width) ** 2))
-        theta = theta.reshape(mask.num_inside, 1, mask.grid.resolution)
-        return FracGradKernelOperator(mask, sigma, theta, outer())
+            return KernelIntegralOperator.gaussian(mask, width, outer())
+        return FracGradKernelOperator.gaussian(mask, sigma, width, outer())
     if variant == "separated":
         phi_spec = _get(cfg, "qvi", "phi", str)
         parts = phi_spec.split(":")

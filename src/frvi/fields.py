@@ -223,10 +223,6 @@ def zero_field(grid: Grid) -> ScalarField:
     return ScalarField(grid, np.zeros(grid.shape))
 
 
-def vector_field(grid: Grid, components) -> VectorField:
-    return VectorField(grid, tuple(components))
-
-
 def _region_values(f: ScalarField, mask: DomainMask | None) -> np.ndarray:
     if mask is None:
         return f.values.ravel()
@@ -304,11 +300,10 @@ def read_fvf(path) -> ScalarField | VectorField:
 
 
 def write_csv(path, header: list, rows: list) -> None:
-    """Deterministic CSV: UTF-8, '.' decimal separator, repr for floats."""
+    """Deterministic CSV: UTF-8, '.' decimal separator, repr of the Python
+    float for every float, numpy floats included."""
     def fmt(x):
-        if isinstance(x, float):
-            return repr(x)
-        if isinstance(x, (np.floating,)):
+        if isinstance(x, (float, np.floating)):
             return repr(float(x))
         return str(x)
 

@@ -121,27 +121,18 @@ def estimated_constants_1d() -> tuple:
 def qvi_kernel_1d() -> QVIInstance:
     """Kernel-integral operator: smooth averaging kernel, quadratic outer map."""
     prob = _qvi_base()
-    grid = prob.mask.grid
-    x = grid.axis()
-    xo = x[prob.mask.inside.ravel()]
-    kernel = np.exp(-(((x[:, None] - xo[None, :]) / 0.5) ** 2))
     outer = OuterFunction(nu=150.0, coeff=0.002, ramp="square")
     return QVIInstance("qvi_kernel_1d", prob,
-                       KernelIntegralOperator(prob.mask, kernel, outer))
+                       KernelIntegralOperator.gaussian(prob.mask, 0.5, outer))
 
 
 @lru_cache(maxsize=None)
 def qvi_fracgrad_1d() -> QVIInstance:
     """Gradient-kernel operator: localized vector kernel against D^sigma u."""
     prob = _qvi_base()
-    grid = prob.mask.grid
-    x = grid.axis()
-    xo = x[prob.mask.inside.ravel()]
-    theta = np.exp(-(((xo[:, None] - x[None, :]) / 0.3) ** 2))
-    theta = theta.reshape(prob.mask.num_inside, 1, grid.resolution)
     outer = OuterFunction(nu=150.0, coeff=0.0005, ramp="abs")
-    return QVIInstance("qvi_fracgrad_1d", prob,
-                       FracGradKernelOperator(prob.mask, prob.sigma, theta, outer))
+    return QVIInstance("qvi_fracgrad_1d", prob, FracGradKernelOperator.gaussian(
+        prob.mask, prob.sigma, 0.3, outer))
 
 
 @lru_cache(maxsize=None)

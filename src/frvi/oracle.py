@@ -8,27 +8,25 @@ target w, and a dual ascent in the scaled multiplier y), entirely
 independent of the penalization route.  An unconstrained spectral / dense
 linear solver covers inactive cases.
 
-Two things make the splitting cheaper:
+The penalty parameter is rho = a_*, the lower bound of A, so the linear
+step's matrix, of u -> P[-div^s((A + rho) D^s E u)], is Cholesky-factored
+once per call, and the iteration is unchanged when A and f are scaled
+together.  Type-II Anderson acceleration (Zhang, O'Donoghue & Boyd, SIAM
+J. Optim. 30 (2020)) of one sweep as a fixed-point map z -> F(z) of the
+state z = (w, y), over the last ANDERSON_MEMORY differences, cuts
+binding_2d's linear solves from 230 to 47.  The memory is cleared when
+||F(z) - z|| grows by more than ANDERSON_SAFEGUARD over the previous
+sweep; the next state is then the plain F(z).  Every iteration is one
+sweep, so one linear solve, and the stopping test reads the primal/dual
+residuals of that sweep, so tol means what it meant for the plain
+iteration.
 
-- Type-II Anderson acceleration (Zhang, O'Donoghue & Boyd, SIAM J. Optim.
-  30 (2020)) of one sweep as a fixed-point map z -> F(z) of the state
-  z = (w, y), over the last ANDERSON_MEMORY differences, cuts binding_2d's
-  linear solves from 230 to 47.  The memory is
-  cleared when rho is rebalanced (F changes), and when ||F(z) - z|| grows
-  by more than ANDERSON_SAFEGUARD over the previous sweep; the next state
-  is then the plain F(z).  Every iteration is one sweep, so one linear
-  solve, and the stopping test reads the primal/dual residuals of that
-  sweep, so tol means what it meant for the plain iteration.
-- For one constant scalar A the linear step's matrix is (a + rho) M, M the
-  restricted Gram matrix.  M is Cholesky-factored once per call, and a rho
-  rebalance only rescales the solve.  Any other A is factored per rho.
-
-Each iteration still calls `cho_solve` on the factor (two triangular
-solves) through this module's names `cho_factor` and `cho_solve`, which
-the benchmark counts as factorizations and iterations.  An explicit
-inverse applied by a symmetric matrix-vector product would be faster per
-iteration, but it costs an extra m^3 inversion per factor and gives up
-the triangular solves' backward stability.
+Each iteration calls `cho_solve` on the factor (two triangular solves)
+through this module's names `cho_factor` and `cho_solve`, which the
+benchmark counts as factorizations and iterations.  An explicit inverse
+applied by a symmetric matrix-vector product would be faster per
+iteration, but it costs an extra m^3 inversion and gives up the
+triangular solves' backward stability.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ import numbers
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .fields import ScalarField, VectorField, ball_projection, lp_norm, magnitude
+from .fields import ScalarField, ball_projection, lp_norm, magnitude
 from .fracgrad import (
     apply_symbol,
     check_dense_limit,
@@ -48,23 +46,12 @@ from .fracgrad import (
     multiplier_table,
     neg_div_arrays,
 )
-from .vi import (
-    ProblemData,
-    SolverDivergence,
-    Threshold,
-    energy,
-    sample_feasible,
-)
+from .vi import ProblemData, SolverDivergence
 
 # differences kept by the Anderson acceleration of the sweep
 ANDERSON_MEMORY = 5
 # growth of ||F(z) - z|| over the previous sweep that clears that memory
 ANDERSON_SAFEGUARD = 1.5
-
-
-def project_ball(w: VectorField, g: Threshold) -> VectorField:
-    """Nodewise Euclidean projection onto {|w(x)| <= g(x)}."""
-    return VectorField(w.grid, tuple(ball_projection(np.stack(w.components), g.g.values)))
 
 
 def _constant_scalar(A) -> float | None:
@@ -74,23 +61,26 @@ def _constant_scalar(A) -> float | None:
     return None
 
 
-def _dense_operators(data: ProblemData) -> tuple:
-    """(mat_a, mat_lap): u -> P[-div^s(C D^s E u)] on the inside nodes for
-    C = A and C = 1.  mat_lap is the restricted Gram matrix; a constant
-    scalar A scales it, any other A is assembled column by column."""
-    mat_lap = gram_matrix(data.mask, data.sigma)
+def _step_matrix(data: ProblemData, shift: float) -> np.ndarray:
+    """The matrix of u -> P[-div^s((A + shift) D^s E u)] on the inside
+    nodes.  A constant scalar A scales the restricted Gram matrix in place;
+    any other A is assembled column by column, one gradient/divergence
+    pair per inside node."""
     a = _constant_scalar(data.A)
     if a is not None:
-        return (mat_lap if a == 1.0 else a * mat_lap), mat_lap
+        mat = gram_matrix(data.mask, data.sigma)
+        mat *= a + shift
+        return mat
+    check_dense_limit(data.mask)
     grid, sigma, inside = data.grid, data.sigma, data.mask.inside
-    mat_a = np.zeros(mat_lap.shape)
+    mat = np.empty((data.mask.num_inside,) * 2)
     basis = np.zeros(grid.shape)
     for j, node in enumerate(np.argwhere(inside)):
         basis[tuple(node)] = 1.0
         w = grad_arrays(basis, grid, sigma)
-        mat_a[:, j] = neg_div_arrays(data.A.apply(w), grid, sigma)[inside]
+        mat[:, j] = neg_div_arrays(data.A.apply(w) + shift * w, grid, sigma)[inside]
         basis[tuple(node)] = 0.0
-    return mat_a, mat_lap
+    return mat
 
 
 class _Anderson:
@@ -110,7 +100,8 @@ class _Anderson:
         self.reset()
 
     def reset(self) -> None:
-        """Forget the history: the map changed, or the safeguard fired."""
+        """Forget the history: the safeguard fired, or the differences
+        were singular."""
         self.stored = 0
         self.row = 0
         self.last_norm = None
@@ -159,8 +150,7 @@ def oracle_solve_pde(data: ProblemData) -> ScalarField:
         inverse = np.where(mult > 0.0, 1.0 / (a * np.where(mult > 0, mult, 1.0)), 0.0)
         u_vals = apply_symbol(data.f.values, inverse)
     else:
-        mat_a, _ = _dense_operators(data)
-        x = np.linalg.solve(mat_a, data.f.values[data.mask.inside])
+        x = np.linalg.solve(_step_matrix(data, 0.0), data.f.values[data.mask.inside])
         u_vals = np.zeros(grid.shape)
         u_vals[data.mask.inside] = x
     u = ScalarField(grid, u_vals)
@@ -183,21 +173,18 @@ def check_oracle_input(data: ProblemData) -> None:
     check_dense_limit(data.mask)
 
 
-def oracle_solve_vi(data: ProblemData, rho: float = 1.0, tol: float = 1e-9,
+def oracle_solve_vi(data: ProblemData, tol: float = 1e-9,
                     max_iter: int = 4000) -> ScalarField:
-    """Splitting solve of the symmetric constrained program.
+    """Splitting solve of the symmetric constrained program, at rho = a_*.
 
     Each iteration is one sweep from the state (w, y): (i) linear solve in
     u with the gradient target w and dual y fixed, (ii) ball projection of
-    D^s u + y for w, (iii) dual ascent.  The next
-    state is the Anderson extrapolation of the sweeps; rho is rebalanced by
-    factors of two when the primal and dual residuals drift apart.  It stops
-    when both residuals of a sweep are below tol (relative to 1 + |D^s u|);
-    max_iter bounds the sweeps, so the linear solves.
+    D^s u + y for w, (iii) dual ascent.  The next state is the Anderson
+    extrapolation of the sweeps.  It stops when both residuals of a sweep
+    are below tol (relative to 1 + |D^s u|); max_iter bounds the sweeps,
+    so the linear solves.
     """
     check_oracle_input(data)
-    if not 0.0 < rho < math.inf:
-        raise ValueError(f"need a finite rho > 0, got {rho}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"need a finite tol > 0, got {tol}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) \
@@ -209,24 +196,12 @@ def oracle_solve_vi(data: ProblemData, rho: float = 1.0, tol: float = 1e-9,
     sigma = data.sigma
     g_vals = data.g.g.values
     hN = grid.cell_volume
-    a = _constant_scalar(data.A)
-    if a is None:
-        mat_a, mat_lap = _dense_operators(data)
-    else:
-        gram = cho_factor(gram_matrix(data.mask, sigma))
-
-    def factor(rho: float) -> tuple:
-        """(Cholesky factor, scale): the linear step is scale * cho_solve."""
-        if a is None:
-            return cho_factor(mat_a + rho * mat_lap), 1.0
-        return gram, 1.0 / (a + rho)
-
+    rho = data.A.a_star
+    chol = cho_factor(_step_matrix(data, rho))
     z = np.zeros((2, grid.dim) + grid.shape)  # the state (w, y)
     image = np.empty_like(z)  # its sweep F(z)
     accel = _Anderson(z.size)
-    chol, scale = factor(rho)
     u_vals = np.zeros(grid.shape)
-    since_rebalance = 0
     for _ in range(max_iter):
         w, y = z
         rhs = f_in + neg_div_arrays(w - y, grid, sigma)[inside] * rho
@@ -234,7 +209,7 @@ def oracle_solve_vi(data: ProblemData, rho: float = 1.0, tol: float = 1e-9,
         # iteration cost a third of each solve, so only the m-vector is checked
         if not np.isfinite(rhs).all():
             raise ValueError("array must not contain infs or NaNs")
-        u_vals[inside] = cho_solve(chol, rhs, check_finite=False) * scale
+        u_vals[inside] = cho_solve(chol, rhs, check_finite=False)
         du = grad_arrays(u_vals, grid, sigma)
         image[0] = ball_projection(du + y, g_vals)
         image[1] = y + du - image[0]
@@ -244,31 +219,8 @@ def oracle_solve_vi(data: ProblemData, rho: float = 1.0, tol: float = 1e-9,
         size = 1.0 + float(np.sqrt(hN * np.sum(du**2)))
         if primal <= tol * size and dual <= tol * size:
             return ScalarField(grid, u_vals)
-        since_rebalance += 1
-        if since_rebalance >= 10 and max(primal, dual) > 10.0 * min(primal, dual):
-            step = 2.0 if primal > dual else 0.5
-            rho *= step
-            image[1] /= step
-            chol, scale = factor(rho)
-            accel.reset()
-            z[...] = image
-            since_rebalance = 0
-        else:
-            accel.step(z, image)
+        accel.step(z, image)
     raise SolverDivergence(
         f"splitting oracle: max_iter={max_iter} reached "
         f"(primal {primal:.3e}, dual {dual:.3e})",
         iterate=ScalarField(grid, u_vals))
-
-
-def certify_minimum(u: ScalarField, data: ProblemData, samples: int = 1000,
-                    tol: float = 1e-9, seed: int = 17) -> bool:
-    """Check J(u) <= J(v) + tol*scale against sampled feasible v."""
-    rng = np.random.default_rng(seed)
-    ju = energy(u, data)
-    scale = abs(ju) + 1.0
-    for _ in range(samples):
-        v = sample_feasible(data, rng)
-        if energy(v, data) < ju - tol * scale:
-            return False
-    return True

@@ -121,6 +121,14 @@ class ThresholdOperator:
         raise NotImplementedError
 
 
+def _axis_and_inside(mask: DomainMask) -> tuple:
+    """(x, x_o): the nodes of a 1D grid and those inside the mask."""
+    if mask.grid.dim != 1:
+        raise ValueError("Gaussian kernels are built on 1D masks only")
+    x = mask.grid.axis()
+    return x, x[mask.inside.ravel()]
+
+
 class KernelIntegralOperator(ThresholdOperator):
     """G[u](x) = F(x, integral_Omega kernel(x,y) u(y) dy)."""
 
@@ -132,6 +140,13 @@ class KernelIntegralOperator(ThresholdOperator):
         self.kernel = kernel
         self.outer = outer
         self.nu_out = outer.nu
+
+    @classmethod
+    def gaussian(cls, mask: DomainMask, width: float,
+                 outer: OuterFunction) -> KernelIntegralOperator:
+        """The operator of the kernel exp(-((x - y) / width)^2) on a 1D mask."""
+        x, xo = _axis_and_inside(mask)
+        return cls(mask, np.exp(-(((x[:, None] - xo[None, :]) / width) ** 2)), outer)
 
     def _evaluate(self, u: ScalarField) -> np.ndarray:
         hN = self.mask.grid.cell_volume
@@ -154,6 +169,15 @@ class FracGradKernelOperator(ThresholdOperator):
         self.theta = theta
         self.outer = outer
         self.nu_out = outer.nu
+
+    @classmethod
+    def gaussian(cls, mask: DomainMask, sigma: float, width: float,
+                 outer: OuterFunction) -> FracGradKernelOperator:
+        """The operator of theta(x, y) = exp(-((x - y) / width)^2) on a 1D
+        mask."""
+        x, xo = _axis_and_inside(mask)
+        theta = np.exp(-(((xo[:, None] - x[None, :]) / width) ** 2))
+        return cls(mask, sigma, theta.reshape(mask.num_inside, 1, x.size), outer)
 
     def _evaluate(self, u: ScalarField) -> np.ndarray:
         grid = self.mask.grid
@@ -284,6 +308,12 @@ class SeparatedOperator(ThresholdOperator):
 
 # -- contraction certificate --------------------------------------------------
 
+# random pairs, and their seed, on which contraction_certificate falsifies
+# the declared Lipschitz modulus
+FALSIFY_PAIRS = 100
+FALSIFY_SEED = 303
+
+
 @dataclass
 class ContractionReport:
     C_sharp: float
@@ -296,15 +326,15 @@ class ContractionReport:
 
 def contraction_certificate(f: ScalarField, mask: DomainMask, sigma: float,
                             operator: SeparatedOperator, c_star: float,
-                            a_star: float, falsify_samples: int = 100,
-                            seed: int = 303) -> ContractionReport:
+                            a_star: float) -> ContractionReport:
     """Uniqueness certificate for the separated-form constraint.
 
     Uses C# = c_star / a_star, with c_star a certified upper bound on the
     embedding constant (estimate_sobolev_constant), the declared functional
     moduli at the a priori radius R_f = C# ||f||_2#, and certifies when
     q = 2 C# (lip/floor) ||f||_2# < 1.  The declared Lipschitz modulus is
-    falsified on random pairs inside B_{R_f} before being trusted.
+    falsified on FALSIFY_PAIRS random pairs inside B_{R_f} (seed
+    FALSIFY_SEED) before being trusted.
     """
     if not isinstance(operator, SeparatedOperator):
         raise ValueError("certificate applies to the separated variant only")
@@ -316,21 +346,22 @@ def contraction_certificate(f: ScalarField, mask: DomainMask, sigma: float,
     gam = operator.gamma.lip(r_f)
     if eta <= 0:
         raise ValueError("functional floor must be positive")
-    _falsify_lipschitz(operator.gamma, mask, sigma, r_f, falsify_samples, seed)
+    _falsify_lipschitz(operator.gamma, mask, sigma, r_f)
     q = 2.0 * c_sharp * (gam / eta) * f_norm
     return ContractionReport(C_sharp=c_sharp, R_f=r_f, eta_Rf=eta,
                              gamma_Rf=gam, q=q, certified=bool(q < 1.0))
 
 
 def _falsify_lipschitz(gamma: GammaFunctional, mask: DomainMask, sigma: float,
-                       radius: float, samples: int, seed: int) -> None:
-    """Raise if |gamma(u1) - gamma(u2)| > lip ||u1 - u2||_Hsigma on a random
-    pair in B_radius: each u is a masked band-limited field scaled to a
-    uniform radius.  The 2 * samples fields are drawn as one stack, pair i
-    being rows 2i and 2i+1, and then their radii in one uniform draw.
-    D^sigma is linear, so the norms and distances come from one stacked
-    gradient of the unscaled fields."""
-    rng = np.random.default_rng(seed)
+                       radius: float) -> None:
+    """Raise if |gamma(u1) - gamma(u2)| > lip ||u1 - u2||_Hsigma on one of
+    FALSIFY_PAIRS random pairs in B_radius: each u is a masked band-limited
+    field scaled to a uniform radius.  The 2 * FALSIFY_PAIRS fields are
+    drawn as one stack, pair i being rows 2i and 2i+1, and then their radii
+    in one uniform draw.  D^sigma is linear, so the norms and distances come
+    from one stacked gradient of the unscaled fields."""
+    samples = FALSIFY_PAIRS
+    rng = np.random.default_rng(FALSIFY_SEED)
     grid = mask.grid
     hN = grid.cell_volume
     lip = gamma.lip(radius)

@@ -19,6 +19,7 @@ import frvi.fracgrad
 import frvi.vi
 from frvi.cli import EXIT_CONFIG, EXIT_OK, main, run
 from frvi.fields import make_grid, read_fvf, scalar_field, write_fvf
+from frvi.instances import qvi_fracgrad_1d, qvi_kernel_1d
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 BINDING = CONFIG_DIR / "binding1d.cfg"
@@ -281,6 +282,35 @@ def test_non_finite_coefficients_exit_config_error(tmp_path, shape):
     errors = _error_events(out)
     assert errors and errors[0]["kind"] == "config"
     assert "non-finite" in errors[0]["reason"]
+
+
+def _kernel_config(tmp_path, variant, width, dim=1):
+    cfg = tmp_path / f"{variant}.cfg"
+    cfg.write_text(QVI.read_text().replace("dim = 1", f"dim = {dim}").replace(
+        "variant = separated",
+        f"variant = {variant}\nkernel = gaussian:{width}\nouter = square:150.0:0.002"))
+    return cfg
+
+
+def test_kernel_variants_build_the_instances_operators(tmp_path):
+    # the config route and frvi.instances share one Gaussian constructor
+    for variant, width, inst, attr in (("kernel", 0.5, qvi_kernel_1d(), "kernel"),
+                                       ("fracgrad", 0.3, qvi_fracgrad_1d(), "theta")):
+        cfg = frvi.cli._load_config(str(_kernel_config(tmp_path, variant, width)))
+        data, _ = frvi.cli._problem_from_config(cfg, tmp_path)
+        op = frvi.cli._operator_from_config(cfg, data)
+        assert np.array_equal(getattr(op, attr), getattr(inst.operator, attr))
+
+
+def test_kernel_variant_on_a_2d_grid_exits_config_error(tmp_path):
+    cfg = _kernel_config(tmp_path, "kernel", 0.5, dim=2).read_text()
+    path = tmp_path / "kernel2d.cfg"
+    path.write_text(cfg.replace("resolution = 128", "resolution = 16"))
+    out = tmp_path / "out"
+    assert run(str(path), "solve-qvi", out_dir=str(out)) == EXIT_CONFIG
+    errors = _error_events(out)
+    assert errors and errors[0]["kind"] == "config"
+    assert "1D masks" in errors[0]["reason"]
 
 
 def test_certificate_beyond_the_dense_limit_exits_config_error(tmp_path):

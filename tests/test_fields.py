@@ -311,3 +311,12 @@ def test_csv_deterministic(tmp_path):
     write_csv(p2, ["i", "v", "s"], rows)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text().splitlines()[0] == "i,v,s"
+
+
+def test_csv_writes_numpy_floats_as_python_floats(tmp_path):
+    # np.float64 subclasses float, and numpy 2 reprs it as "np.float64(1.5)"
+    p = tmp_path / "n.csv"
+    write_csv(p, ["a", "b"], [[np.float64(1.5), np.float32(0.1)],
+                              [np.float64(0.1) + np.float64(0.2), 2]])
+    assert p.read_text().splitlines()[1:] == ["1.5,0.10000000149011612",
+                                              "0.30000000000000004,2"]

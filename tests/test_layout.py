@@ -2,10 +2,12 @@
 Fourier transforms and the size limits live in the spectral core
 (frvi.fracgrad) only, every name the benchmark's tracer wraps still exists
 (and the oracle's still do the counted work), every config key the CLI
-accepts is read, and nothing reads the environment."""
+accepts is read, nothing reads the environment, and the oracle takes only
+data types from the penalty route."""
 
 import ast
 import importlib.util
+import inspect
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import numpy as np
 
 import frvi.cli
 import frvi.oracle
+import frvi.vi
 from frvi.fields import ScalarField, make_grid, mask_box, scalar_field
 from frvi.vi import PenaltyConfig, ProblemData, Threshold, identity_coefficients
 
@@ -152,4 +155,22 @@ def test_vi_imports_nothing_from_the_oracle():
             continue
         if any(n == "frvi.oracle" or n.startswith("frvi.oracle.") for n in names):
             offenders.append(f"vi.py:{node.lineno}")
+    assert not offenders, offenders
+
+
+def test_oracle_imports_only_classes_from_vi():
+    # the oracle checks the penalty route: it may share its data types, but
+    # a routine of frvi.vi (energy, sampling, a solver) would tie the
+    # reference to what it checks
+    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    offenders = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["frvi" if node.level else "", node.module]))
+            if module == "frvi.vi":
+                offenders += [f"oracle.py:{node.lineno} imports {a.name}" for a in node.names
+                              if not inspect.isclass(getattr(frvi.vi, a.name, None))]
+        elif isinstance(node, ast.Import):
+            offenders += [f"oracle.py:{node.lineno} imports {a.name}" for a in node.names
+                          if a.name == "frvi.vi"]
     assert not offenders, offenders
