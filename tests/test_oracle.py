@@ -210,6 +210,8 @@ def test_oracle_node_limit():
 @pytest.mark.parametrize("controls", [
     {"max_iter": 0}, {"max_iter": -1}, {"max_iter": 2.5}, {"max_iter": True},
     {"max_iter": "10"},
+    {"max_iter": None}, {"max_iter": np.int64(0)}, {"max_iter": np.float64(3.0)},
+    {"max_iter": 1e3},
     {"tol": 0.0}, {"tol": -1.0}, {"tol": math.inf}, {"tol": math.nan},
 ])
 def test_splitting_oracle_rejects_bad_controls(controls):
