@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -58,10 +59,8 @@ NEWTON_FORCING = 1e-2
 # matrix-free Krylov path is faster (README "Numerical notes").
 DENSE_NEWTON_BUDGET = 2**23
 
-# The splitting start of a cold dense solve (_splitting_start): its ADMM
-# penalty, the relative tolerance of its primal and dual residuals, and its
-# sweep cap.
-SEED_RHO = 1.0
+# The splitting start of a cold dense solve (_splitting_start): the relative
+# tolerance of its primal and dual residuals, and its sweep cap.
 SEED_TOL = 1e-3
 SEED_SWEEPS = 50
 
@@ -144,11 +143,16 @@ class EllipticCoefficients:
         return EllipticCoefficients(self.grid, 0.5 * (self.values + at),
                                     a_star=self.a_star, a_upper=self.a_upper)
 
+    @cached_property
+    def stacked(self) -> np.ndarray:
+        """A matrix field as a contiguous (N, N, *grid.shape) array."""
+        return np.ascontiguousarray(np.moveaxis(self.values, (-2, -1), (0, 1)))
+
     def apply(self, w: np.ndarray) -> np.ndarray:
         """Apply A(x) nodewise to a stacked vector field (N, *grid.shape)."""
         if self._scalar:
             return self.values[None, ...] * w
-        return np.einsum("...ij,j...->i...", self.values, w)
+        return np.einsum("ij...,j...->i...", self.stacked, w)
 
 
 def identity_coefficients(grid: Grid, scale: float = 1.0) -> EllipticCoefficients:
@@ -335,9 +339,10 @@ class _ActiveGram:
     of the torus nodes a the penalty has made active, under the spectral
     preconditioner T1 = P S1 E at cbar = 1: gram[i, j, a, b] = g_(i,a)^T T1
     g_(j,b), a and b the nodes' slots.  The rows depend only on the grid,
-    sigma and the mask, so one instance serves every Newton system of one
-    solve_vi call; it grows as nodes become active, each node's rows built
-    and transformed once, up to `capacity` nodes.
+    sigma and the mask, so one instance (_active_gram) serves every solve
+    on the mask, grown under a lock (readers hold slots valid in either
+    array) up to `capacity` nodes.  An entry is built once, with the later
+    of its nodes, so after other solves it may differ at round-off.
 
     Entry (i, a; j, b) is the gradient of E T1 g_(j,b) read at node a, so a
     new node needs no old row: its rows are built, transformed by S1,
@@ -359,15 +364,17 @@ class _ActiveGram:
         self.slot = np.full(grid.num_nodes, -1, dtype=np.intp)
         self.nodes = np.empty(0, dtype=np.intp)
         self.gram = np.empty((grid.dim, grid.dim, 0, 0))
+        self.lock = threading.Lock()
 
     def stored(self, nodes: np.ndarray) -> np.ndarray:
         """The torus nodes of `nodes` (flat indices) that the Gram holds,
         after adding the new ones it has room for."""
-        new = nodes[self.slot[nodes] < 0]
-        room = self.capacity - len(self.nodes)
-        if new.size and room > 0:
-            self._add(new[:room])
-        return nodes[self.slot[nodes] >= 0]
+        with self.lock:
+            new = nodes[self.slot[nodes] < 0]
+            room = self.capacity - len(self.nodes)
+            if new.size and room > 0:
+                self._add(new[:room])
+            return nodes[self.slot[nodes] >= 0]
 
     def form(self, nodes: np.ndarray, normal: np.ndarray) -> np.ndarray:
         """U^T T1 U for the stored `nodes`, u_a = sum_i normal[i, a] g_(i,a):
@@ -379,9 +386,8 @@ class _ActiveGram:
     def _add(self, new: np.ndarray) -> None:
         grid, inside = self.mask.grid, self.mask.inside
         old = len(self.nodes)
-        self.slot[new] = old + np.arange(len(new))
-        self.nodes = np.concatenate([self.nodes, new])
-        gram = np.empty((grid.dim, grid.dim, len(self.nodes), len(self.nodes)))
+        nodes = np.concatenate([self.nodes, new])
+        gram = np.empty((grid.dim, grid.dim, len(nodes), len(nodes)))
         gram[:, :, :old, :old] = self.gram
         rows = gradient_rows(self.mask, self.sigma, new).transpose(1, 0, 2)
         for part in stack_slices(grid, len(new)):
@@ -389,12 +395,21 @@ class _ActiveGram:
             fields[..., inside] = rows[part]
             smoothed = apply_symbol(fields, self.symbol) * inside
             grads = grad_arrays(smoothed, grid, self.sigma)  # [b, j, i, y]
-            read = grads.reshape(grads.shape[:3] + (-1,))[..., self.nodes]
+            read = grads.reshape(grads.shape[:3] + (-1,))[..., nodes]
             gram[:, :, :, old + part.start:old + part.stop] = read.transpose(2, 1, 3, 0)
         gram[:, :, old:, :old] = gram[:, :, :old, old:].transpose(1, 0, 3, 2)
         fresh = gram[:, :, old:, old:]
         fresh[...] = 0.5 * (fresh + fresh.transpose(1, 0, 3, 2))
-        self.gram = gram
+        # published last, so that an interrupted build leaves the cache whole
+        self.gram, self.nodes = gram, nodes
+        self.slot[new] = old + np.arange(len(new))
+
+
+@lru_cache(maxsize=1)
+def _active_gram(grid: Grid, sigma: float, inside: bytes) -> _ActiveGram:
+    """The _ActiveGram of the mask whose inside flags are `inside`."""
+    flags = np.frombuffer(inside, dtype=bool).reshape(grid.shape)
+    return _ActiveGram(DomainMask(grid, flags, padding_fraction=0.0), sigma)
 
 
 class _PenalizedSystem:
@@ -407,7 +422,7 @@ class _PenalizedSystem:
     Every other problem is matrix-free: transforms for G and G^T, and
     preconditioned CG or BiCGSTAB for the Newton systems."""
 
-    def __init__(self, data: ProblemData, eps: float, gram: _ActiveGram | None = None):
+    def __init__(self, data: ProblemData, eps: float):
         self.data = data
         self.A = data.A.applied
         self.eps = eps
@@ -417,7 +432,6 @@ class _PenalizedSystem:
         self.g = data.g.g.values
         self.f_inside = data.f.values[self.inside]
         self.G = _dense_gradient(data.mask, data.sigma)
-        self.gram = gram
 
     def unpack(self, x: np.ndarray) -> np.ndarray:
         full = np.zeros(self.grid.shape)
@@ -474,7 +488,7 @@ class _PenalizedSystem:
         if self.A.is_scalar:
             c = eye * (k + self.A.values)
         else:
-            c = eye * k + np.moveaxis(self.A.values, (-2, -1), (0, 1))
+            c = eye * k + self.A.stacked
         if w is not None:
             c = c + coef * (w[:, None] * w[None, :])
         G = self.G.reshape(1, dim, -1, self.m)
@@ -516,22 +530,21 @@ class _PenalizedSystem:
             M^-1 r = T r - T U C^-1 U^T T r,  C = diag(1/beta) + U^T T U,
 
         with C factored by a p x p Cholesky.  U^T T U is gathered from the
-        Gram matrix of the rows g_(i,a) (self.gram, grown as nodes become
+        Gram matrix of the rows g_(i,a) (_active_gram, grown as nodes become
         active) and scaled by 1/cbar; U^T t is the gradient of E t read at
         the active nodes, and U c is P(-div^sigma) of the flux c_a n_a at
         node a.  So an apply costs eight transforms instead of two.  A
         frozen (Picard) system, one with no active node, or a C that is not
         numerically positive definite keeps T alone."""
-        if self.gram is None:
-            self.gram = _ActiveGram(self.data.mask, self.data.sigma)
+        gram = _active_gram(self.grid, self.data.sigma, self.inside.tobytes())
         cbar = self.data.A.a_star + float(k.mean())
-        symbol = self.gram.symbol / cbar
+        symbol = gram.symbol / cbar
 
         def spectral(v):
             return self.pack(apply_symbol(self.unpack(v), symbol))
         if w is None:
             return spectral
-        active = self.gram.stored(np.flatnonzero(coef > 0.0))
+        active = gram.stored(np.flatnonzero(coef > 0.0))
         if not active.size:
             return spectral
         dim = self.grid.dim
@@ -540,7 +553,7 @@ class _PenalizedSystem:
         normal = w_active / mag
         with np.errstate(over="ignore"):
             inv_beta = 1.0 / (coef.reshape(-1)[active] * mag * mag)
-        C = self.gram.form(active, normal) / cbar
+        C = gram.form(active, normal) / cbar
         C[np.diag_indices_from(C)] += inv_beta
         try:
             factor = cho_factor(C, check_finite=False)
@@ -589,9 +602,9 @@ def solve_penalized(data: ProblemData, eps: float, init: ScalarField,
 
 
 def _solve_penalized_impl(data: ProblemData, eps: float, init: ScalarField,
-                          cfg: PenaltyConfig, gram: _ActiveGram | None = None) -> tuple:
+                          cfg: PenaltyConfig) -> tuple:
     assert_supported(init, data.mask)
-    sys = _PenalizedSystem(data, eps, gram)
+    sys = _PenalizedSystem(data, eps)
     x = sys.pack(init.values)
     tol = cfg.newton_tol * (1.0 + float(np.abs(data.f.values).max()))
     history = []
@@ -824,7 +837,7 @@ def _trace_row(data: ProblemData, u: ScalarField, eps: float,
     ), k
 
 
-def _scaled_stages(data: ProblemData, cfg: PenaltyConfig, gram: _ActiveGram) -> tuple:
+def _scaled_stages(data: ProblemData, cfg: PenaltyConfig) -> tuple:
     """Cold-start path into the eps schedule: eps0 solves on the data scaled
     by mu = ratio^4, then ratio^2, each from the last iterate rescaled.
     penalty_value(mu s, eps) is the penalty of parameter eps/mu (its cap
@@ -836,7 +849,7 @@ def _scaled_stages(data: ProblemData, cfg: PenaltyConfig, gram: _ActiveGram) -> 
     prev_mu = 1.0
     for mu in (cfg.ratio**4, cfg.ratio**2):
         u = ScalarField(data.grid, (mu / prev_mu) * u.values)
-        u, it = _solve_penalized_impl(data.scaled(mu), cfg.eps0, u, cfg, gram)
+        u, it = _solve_penalized_impl(data.scaled(mu), cfg.eps0, u, cfg)
         iters += it
         prev_mu = mu
     return ScalarField(data.grid, u.values / prev_mu), iters
@@ -847,28 +860,30 @@ def _splitting_start(data: ProblemData, cfg: PenaltyConfig) -> ScalarField:
     1/2 <A D^sigma u, D^sigma u> - <f, u>, the start of a cold dense solve
     whose applied coefficient is symmetric.
 
-    Plain sweeps from (w, y) = 0 at penalty SEED_RHO: the linear step in u
-    with the gradient target w and scaled dual y fixed, the ball projection
-    of D^sigma u + y for w, and the dual ascent.  The linear step's matrix
-    G^T (A + rho) G is _PenalizedSystem.assemble(rho), positive definite
-    because gram_spectrum certified G; each sweep solves it by LU with one
-    right-hand side, the LAPACK call of the Newton path (README "Numerical
-    notes" says why not a factor or an inverse kept across sweeps).  Stops
-    when the primal and dual residuals are at most SEED_TOL (1 +
-    |D^sigma u|), or after SEED_SWEEPS sweeps; either way it returns the
-    last u."""
+    Plain sweeps from (w, y) = 0 at penalty rho = a_*, the lower bound of A,
+    as in the oracle, so that scaling A and f together leaves the iterates
+    unchanged: the linear step in u with the gradient target w and scaled
+    dual y fixed, the ball projection of D^sigma u + y for w, and the dual
+    ascent.  The linear step's matrix G^T (A + rho) G is
+    _PenalizedSystem.assemble(rho), positive definite because gram_spectrum
+    certified G; each sweep solves it by LU with one right-hand side, the
+    LAPACK call of the Newton path (README "Numerical notes" says why not a
+    factor or an inverse kept across sweeps).  Stops when the primal and
+    dual residuals are at most SEED_TOL (1 + |D^sigma u|), or after
+    SEED_SWEEPS sweeps; either way it returns the last u."""
     grid = data.grid
     hN = grid.cell_volume
     sys = _PenalizedSystem(data, cfg.eps0)
-    matrix = sys.assemble(np.full(grid.shape, SEED_RHO))
+    rho = data.A.a_star
+    matrix = sys.assemble(np.full(grid.shape, rho))
     w = y = np.zeros((grid.dim,) + grid.shape)
     for _ in range(SEED_SWEEPS):
-        x = np.linalg.solve(matrix, sys.f_inside + SEED_RHO * sys.neg_div(w - y))
+        x = np.linalg.solve(matrix, sys.f_inside + rho * sys.neg_div(w - y))
         du = sys.gradient(x)
         w_next = ball_projection(du + y, sys.g)
         y = y + du - w_next
         primal = math.sqrt(hN * float(np.sum((du - w_next) ** 2)))
-        dual = SEED_RHO * math.sqrt(hN * float(np.sum(sys.neg_div(w_next - w) ** 2)))
+        dual = rho * math.sqrt(hN * float(np.sum(sys.neg_div(w_next - w) ** 2)))
         w = w_next
         if max(primal, dual) <= SEED_TOL * (1.0 + math.sqrt(hN * float(np.sum(du**2)))):
             break
@@ -889,9 +904,7 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
     - on the Krylov path (see _dense_gradient), the scaled-data stages of
       _scaled_stages, which lengthen the schedule by two eps steps above
       eps0 and cut the Krylov iterations of the first eps step; their
-      Newton steps are counted in trace[0].newton_iters.  The stages and
-      every eps step share one _ActiveGram, the Gram matrix the
-      preconditioner's correction is gathered from;
+      Newton steps are counted in trace[0].newton_iters;
     - on the dense path with a symmetric applied coefficient, the loose
       splitting solve of _splitting_start, whose iterate lies near the
       constrained solution that the whole schedule approaches;
@@ -902,7 +915,9 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
     SolverDivergence from a predicted start (the splitting start or the
     secant) reruns the step from the unpredicted one (zero, or u2), and
     that step's trace row counts the Newton steps of both attempts.  Each
-    penalized solve converges to newton_tol whatever its start.
+    penalized solve converges to newton_tol whatever its start.  Krylov
+    solves on a mask share its _active_gram, so one after others on the
+    mask may differ from a first one at round-off, in the preconditioner.
 
     Feasibility is only reached asymptotically along the schedule; with
     shrink=True the returned u is additionally scaled by nu/(nu + eta)
@@ -916,12 +931,9 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
     cold = not np.any(u.values)
     guess = u  # the start of the next eps step
     stage_iters = 0
-    gram = None
-    if _dense_gradient(data.mask, data.sigma) is None:
-        gram = _ActiveGram(data.mask, data.sigma)
-        if cold:
-            u, stage_iters = _scaled_stages(data, cfg, gram)
-            guess = u
+    if cold and _dense_gradient(data.mask, data.sigma) is None:
+        u, stage_iters = _scaled_stages(data, cfg)
+        guess = u
     elif cold and data.A.applied.is_symmetric:
         guess = _splitting_start(data, cfg)
     trace = []
@@ -932,11 +944,11 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
             guess = ScalarField(grid, u2.values + (eps - eps2) / (eps2 - eps1)
                                 * (u2.values - u1.values))
         try:
-            u_next, iters = _solve_penalized_impl(data, eps, guess, cfg, gram)
+            u_next, iters = _solve_penalized_impl(data, eps, guess, cfg)
         except SolverDivergence as exc:
             if guess is u:
                 raise
-            u_next, iters = _solve_penalized_impl(data, eps, u, cfg, gram)
+            u_next, iters = _solve_penalized_impl(data, eps, u, cfg)
             iters += len(exc.history)
         u = guess = u_next
         row, k = _trace_row(data, u, eps, iters)

@@ -2,8 +2,9 @@
 Fourier transforms and the size limits live in the spectral core
 (frvi.fracgrad) only, every name the benchmark's tracer wraps still exists
 (and the oracle's still do the counted work), every config key the CLI
-accepts is read, nothing reads the environment, and the oracle takes only
-data types from the penalty route."""
+accepts is read, nothing reads the environment, every module cache keyed
+on arguments is bounded, and the oracle takes only data types from the
+penalty route."""
 
 import ast
 import importlib.util
@@ -122,6 +123,33 @@ def test_no_environment_reads_in_src():
             if isinstance(node, ast.ImportFrom) and node.module == "os":
                 offenders += [f"{name}:{node.lineno} imports {a.name}"
                               for a in node.names if a.name in ("environ", "getenv")]
+    assert not offenders, offenders
+
+
+def test_module_caches_are_bounded():
+    # a cache keyed on arguments holds one entry per distinct call (a Gram
+    # per mask, say) unless lru_cache is given an integer maxsize; the
+    # zero-argument instance builders hold one value each
+    offenders = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            params = node.args
+            if not (params.posonlyargs or params.args or params.kwonlyargs
+                    or params.vararg or params.kwarg):
+                continue
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                target = call.func if call else dec
+                kind = getattr(target, "attr", getattr(target, "id", None))
+                if kind not in ("lru_cache", "cache"):
+                    continue
+                sizes = ([k.value for k in call.keywords if k.arg == "maxsize"]
+                         + call.args[:1]) if call and kind == "lru_cache" else []
+                if not (len(sizes) == 1 and isinstance(sizes[0], ast.Constant)
+                        and type(sizes[0].value) is int):
+                    offenders.append(f"{name}:{node.lineno} {node.name}")
     assert not offenders, offenders
 
 

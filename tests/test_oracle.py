@@ -16,7 +16,7 @@ from frvi.fields import (
 )
 from frvi.fracgrad import hsigma_norm
 from frvi.instances import VI_CFG, binding_1d, binding_2d, small_binding_1d
-from frvi.oracle import oracle_solve_pde, oracle_solve_vi
+from frvi.oracle import _Anderson, oracle_solve_pde, oracle_solve_vi
 from frvi.vi import (
     EllipticCoefficients,
     ProblemData,
@@ -247,6 +247,42 @@ def test_binding_2d_oracle_solves_and_factorizations(monkeypatch):
     oracle_solve_vi(data, tol=1e-9)
     assert calls["cho_solve"] <= 80
     assert calls["cho_factor"] == 1
+
+
+@pytest.mark.parametrize("instance", [binding_1d, binding_2d])
+def test_oracle_reads_the_dual_residual_only_once_the_primal_passes(monkeypatch, instance):
+    # a sweep costs one divergence (its right-hand side) and a second only
+    # once its primal test passes; every sweep that went on would also have
+    # gone on under the test of both residuals, so the stop is unchanged
+    data, tol = instance(), 1e-9
+    hN, inside, rho = data.grid.cell_volume, data.mask.inside, data.A.a_star
+    calls = _count_factor_and_solve_calls(monkeypatch)
+    grad, div, step = frvi.oracle.grad_arrays, frvi.oracle.neg_div_arrays, _Anderson.step
+    divergences, grads, primal_passes = [0], [], [1]  # the last sweep passes
+
+    def counted(*args):
+        divergences[0] += 1
+        return div(*args)
+
+    def recorded(*args):
+        grads.append(grad(*args))
+        return grads[-1]
+
+    def checked(self, z, image):
+        du = grads[-1]
+        size = 1.0 + float(np.sqrt(hN * np.sum(du**2)))
+        primal = float(np.sqrt(hN * np.sum((du - image[0]) ** 2)))
+        dual_field = div(image[0] - z[0], data.grid, data.sigma)[inside]
+        dual = rho * float(np.sqrt(hN * np.sum(dual_field**2)))
+        assert not (primal <= tol * size and dual <= tol * size)
+        primal_passes[0] += primal <= tol * size
+        step(self, z, image)
+    monkeypatch.setattr(frvi.oracle, "neg_div_arrays", counted)
+    monkeypatch.setattr(frvi.oracle, "grad_arrays", recorded)
+    monkeypatch.setattr(_Anderson, "step", checked)
+    oracle_solve_vi(data, tol=tol)
+    assert divergences[0] == calls["cho_solve"] + primal_passes[0]
+    assert divergences[0] < 1.5 * calls["cho_solve"]
 
 
 def _binding_variable_coefficient_1d():

@@ -1,5 +1,8 @@
+import gc
 import math
+import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import scipy.fft
 
 import frvi.vi
 from frvi.fields import (
+    DomainMask,
     ScalarField,
     full_torus,
     magnitude,
@@ -21,6 +25,7 @@ from frvi.fracgrad import (
     frac_gradient,
     frac_laplacian,
     grad_arrays,
+    gradient_rows,
     hsigma_norm,
     random_band_limited,
 )
@@ -36,6 +41,7 @@ from frvi.instances import (
     qvi_separated_certified,
     small_binding_1d,
 )
+from frvi.oracle import oracle_solve_vi
 from frvi.qvi import solve_qvi
 from frvi.vi import (
     EPS_FLOOR,
@@ -201,6 +207,22 @@ def test_applied_coefficient_drops_constant_skew_only():
     assert varying.applied is varying
     sym = identity_coefficients(g)
     assert sym.applied is sym
+
+
+@pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+def test_matrix_coefficient_apply_is_the_nodewise_product(dim, n):
+    # apply contracts a contiguous (N, N, *grid) copy of the matrix field:
+    # bitwise what the strided nodewise product gives
+    g = make_grid(dim, 2.0, n)
+    rng = np.random.default_rng(dim)
+    vals = 2.0 * np.eye(dim) + 0.3 * rng.uniform(-1.0, 1.0, g.shape + (dim, dim))
+    nodes = vals.reshape(-1, dim, dim)
+    low = np.linalg.eigvalsh(0.5 * (nodes + np.swapaxes(nodes, -1, -2)))[:, 0].min()
+    high = np.linalg.norm(nodes, ord=2, axis=(-2, -1)).max()
+    A = EllipticCoefficients(g, vals, a_star=low, a_upper=high)
+    assert not A.is_symmetric
+    w = rng.normal(size=(dim,) + g.shape)
+    assert np.array_equal(A.apply(w), np.einsum("...ij,j...->i...", A.values, w))
 
 
 def _count_krylov(monkeypatch):
@@ -369,6 +391,82 @@ def test_correction_is_used_up_to_the_dense_unknown_limit(dim, n, omega, correct
     assert gram.gram.shape == (dim, dim) + ((3, 3) if corrected else (0, 0))
 
 
+def _cached_gram(data):
+    return frvi.vi._active_gram(data.grid, data.sigma, data.mask.inside.tobytes())
+
+
+def test_repeated_krylov_solve_is_bit_identical_and_builds_no_gram_rows(monkeypatch):
+    # the second solve finds every Gram entry it reads already built
+    frvi.vi._active_gram.cache_clear()
+    first = solve_vi(binding_2d(), VI_CFG)
+    rows = []
+    monkeypatch.setattr(frvi.vi, "gradient_rows",
+                        lambda *args: rows.append(args) or gradient_rows(*args))
+    second = solve_vi(binding_2d(), VI_CFG)
+    assert rows == []
+    assert np.array_equal(first.u.values, second.u.values)
+    assert np.array_equal(first.multiplier.values, second.multiplier.values)
+
+
+def test_solve_after_another_on_the_mask_agrees_with_a_fresh_one():
+    # entries built in the first solve's stacks move the preconditioner,
+    # so the second solve, at round-off only
+    data = _perturbed_binding_2d()
+    frvi.vi._active_gram.cache_clear()
+    fresh = solve_vi(data, VI_CFG)
+    frvi.vi._active_gram.cache_clear()
+    solve_vi(binding_2d(), VI_CFG)
+    after = solve_vi(data, VI_CFG)
+    for a, b in ((after.u, fresh.u), (after.multiplier, fresh.multiplier)):
+        assert np.abs(a.values - b.values).max() <= VI_CFG.newton_tol * np.abs(b.values).max()
+
+
+def test_a_solve_on_a_second_mask_replaces_the_cached_gram():
+    solve_vi(binding_2d(), VI_CFG)
+    first = _cached_gram(binding_2d())
+    assert first.nodes.size > 0
+    other = _variable_skew_box_32()
+    solve_vi(other, VI_CFG)
+    assert _cached_gram(other).nodes.size > 0
+    assert frvi.vi._active_gram.cache_info().currsize == 1
+    rebuilt = _cached_gram(binding_2d())
+    assert rebuilt is not first and rebuilt.nodes.size == 0
+
+
+def test_solve_keeps_no_reference_to_the_callers_data():
+    # the cached Gram holds a mask rebuilt from the inside flags, not the caller's
+    base = binding_2d()
+    mask = DomainMask(base.grid, base.mask.inside.copy(), base.mask.padding_fraction)
+    data = ProblemData(mask, base.sigma, base.A, base.f, base.g)
+    refs = [weakref.ref(data), weakref.ref(mask)]
+    solve_vi(data, VI_CFG)
+    del data, mask
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_concurrent_gram_growth_stores_each_node_once():
+    mask = binding_2d().mask
+    union = np.flatnonzero(mask.inside)[:90]
+    shared = _ActiveGram(mask, 0.4)
+    barrier = threading.Barrier(2)
+
+    def grow(nodes):
+        barrier.wait()
+        shared.stored(nodes)
+    threads = [threading.Thread(target=grow, args=(part,)) for part in (union[:60], union[30:])]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert np.array_equal(np.sort(shared.nodes), union)
+    assert np.array_equal(np.sort(shared.slot[shared.slot >= 0]), np.arange(90))
+    serial = _ActiveGram(mask, 0.4)
+    serial.stored(union)
+    got, want = (g.gram[:, :, g.slot[union][:, None], g.slot[union]] for g in (shared, serial))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_nonsymmetric_2d_runs_cg_only(monkeypatch):
     calls = _count_krylov(monkeypatch)
     solve_vi(nonsymmetric_2d(), VI_CFG)
@@ -409,15 +507,19 @@ def test_binding_2d_first_continuation_step_newton_count():
     assert sol.trace[0].newton_iters <= 30
 
 
-def test_perturbed_binding_2d_converges_within_acceptance_bounds():
-    # binding_2d with f scaled by 1 + 0.05 z, z band-limited: its cold
-    # start used up newton_max at eps0 under the residual step test alone
+def _perturbed_binding_2d():
+    """binding_2d with f scaled by 1 + 0.05 z, z band-limited."""
     base = binding_2d()
     z = random_band_limited(base.grid, np.random.default_rng(1), kmax=3)
     z = np.where(base.mask.inside, z.values, 0.0)
-    data = ProblemData(base.mask, base.sigma, base.A,
-                       ScalarField(base.grid, base.f.values * (1.0 + 0.05 * z)),
-                       base.g)
+    return ProblemData(base.mask, base.sigma, base.A,
+                       ScalarField(base.grid, base.f.values * (1.0 + 0.05 * z)), base.g)
+
+
+def test_perturbed_binding_2d_converges_within_acceptance_bounds():
+    # its cold start used up newton_max at eps0 under the residual step
+    # test alone
+    data = _perturbed_binding_2d()
     sol = solve_vi(data, VI_CFG)
     _assert_acceptance_06_07(sol, data)
 
@@ -430,8 +532,8 @@ def _record_penalized_solves(monkeypatch):
     calls = []
     impl = frvi.vi._solve_penalized_impl
 
-    def recorded(data, eps, init, cfg, *gram):
-        u, iters = impl(data, eps, init, cfg, *gram)
+    def recorded(data, eps, init, cfg):
+        u, iters = impl(data, eps, init, cfg)
         calls.append((eps, float(np.abs(data.f.values).max()), iters))
         return u, iters
     monkeypatch.setattr(frvi.vi, "_solve_penalized_impl", recorded)
@@ -576,6 +678,31 @@ def test_binding_1d_first_eps_step_starts_near_the_solution():
     assert sol.trace[0].newton_iters <= 5
 
 
+@pytest.mark.parametrize("scale", [0.01, 100.0])
+def test_splitting_start_runs_at_the_scale_of_a(monkeypatch, scale):
+    # at rho = 1 the sweeps hit SEED_SWEEPS at both scales, and the first
+    # eps step took 31 and 12 Newton steps.  At c = 100 the penalty at eps0
+    # is weak against A, so even the constrained solution is a poor start
+    # (12 steps): the splitting start need only match it there
+    base = binding_1d()
+    A = EllipticCoefficients(base.grid, scale * base.A.values, a_star=scale * base.A.a_star,
+                             a_upper=scale * base.A.a_upper)
+    data = ProblemData(base.mask, base.sigma, A,
+                       ScalarField(base.grid, scale * base.f.values), base.g)
+    _, exact_iters = frvi.vi._solve_penalized_impl(
+        data, VI_CFG.eps0, oracle_solve_vi(data, tol=1e-9), VI_CFG)
+    sweeps = [0]
+    project = frvi.vi.ball_projection
+
+    def counted(*args):
+        sweeps[0] += 1
+        return project(*args)
+    monkeypatch.setattr(frvi.vi, "ball_projection", counted)
+    sol = solve_vi(data, VI_CFG)
+    assert 0 < sweeps[0] < frvi.vi.SEED_SWEEPS
+    assert sol.trace[0].newton_iters <= max(5, exact_iters)
+
+
 @pytest.mark.parametrize("case", ["krylov", "nonzero-init", "variable-skew"])
 def test_no_splitting_start_off_the_symmetric_cold_dense_path(monkeypatch, case):
     data, init = binding_1d(), None
@@ -605,11 +732,11 @@ def test_divergence_from_a_predicted_start_reruns_the_step(monkeypatch, path, st
     calls = []  # (eps, start, iterate, Newton steps) on the unscaled data
     impl = frvi.vi._solve_penalized_impl
 
-    def forced(d, eps, init, cfg, *gram):
+    def forced(d, eps, init, cfg):
         if d is data and eps == target and all(c[0] != eps for c in calls):
             calls.append((eps, init.values, None, None))
             raise SolverDivergence("forced", iterate=init, history=[1.0] * 7)
-        u, iters = impl(d, eps, init, cfg, *gram)
+        u, iters = impl(d, eps, init, cfg)
         if d is data:
             calls.append((eps, init.values, u.values, iters))
         return u, iters
