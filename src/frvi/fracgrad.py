@@ -235,18 +235,16 @@ def _impulse(grid: Grid) -> np.ndarray:
     return impulse
 
 
-def _wrapped_difference_index(rows: np.ndarray, cols: np.ndarray,
-                              n: int) -> np.ndarray:
-    """Flat grid index of (rows_i - cols_j) mod n for node coordinates
-    rows (a, dim) and cols (b, dim), built in place: two a x b arrays at
-    most."""
-    flat = np.zeros((len(rows), len(cols)), dtype=np.intp)
-    step = np.empty_like(flat)
-    for r, c in zip(rows.T, cols.T):
-        np.subtract.outer(r, c, out=step)
-        flat *= n
-        flat += np.mod(step, n, out=step)
-    return flat
+def _difference_gather(kernel: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                       n: int) -> np.ndarray:
+    """kernel[..., (rows_i - cols_j) mod n] for node coordinates rows (a,
+    dim) and cols (b, dim) and a kernel over the last dim axes: read from
+    the kernel tiled to (2n)^dim at rows_i + n - cols_j, through one a x b
+    flat index."""
+    dim = rows.shape[1]
+    tiled = np.tile(kernel, (2,) * dim).reshape(kernel.shape[:-dim] + (-1,))
+    place = (2 * n) ** np.arange(dim - 1, -1, -1)
+    return tiled[..., np.subtract.outer((rows + n) @ place, cols @ place)]
 
 
 def gram_matrix(mask: DomainMask, sigma: float) -> np.ndarray:
@@ -260,9 +258,9 @@ def gram_matrix(mask: DomainMask, sigma: float) -> np.ndarray:
     check_dense_limit(mask)
     grid = mask.grid
     _, mag_sigma = multiplier_table(grid, as_sigma(sigma))
-    kernel = apply_symbol(_impulse(grid), mag_sigma**2).ravel()
+    kernel = apply_symbol(_impulse(grid), mag_sigma**2)
     coords = np.argwhere(mask.inside)
-    return kernel[_wrapped_difference_index(coords, coords, grid.resolution)]
+    return _difference_gather(kernel, coords, coords, grid.resolution)
 
 
 def gradient_rows(mask: DomainMask, sigma: float, nodes: np.ndarray) -> np.ndarray:
@@ -282,10 +280,9 @@ def gradient_rows(mask: DomainMask, sigma: float, nodes: np.ndarray) -> np.ndarr
     if entries > DENSE_UNKNOWN_LIMIT**2:
         raise ValueError(f"too many entries for a dense gradient "
                          f"({entries}, limit {DENSE_UNKNOWN_LIMIT**2})")
-    kernel = grad_arrays(_impulse(grid), grid, as_sigma(sigma)).reshape(grid.dim, -1)
+    kernel = grad_arrays(_impulse(grid), grid, as_sigma(sigma))
     coords = np.column_stack(np.unravel_index(nodes, grid.shape))
-    index = _wrapped_difference_index(coords, np.argwhere(mask.inside), grid.resolution)
-    return kernel[:, index]
+    return _difference_gather(kernel, coords, np.argwhere(mask.inside), grid.resolution)
 
 
 def gradient_matrix(mask: DomainMask, sigma: float) -> np.ndarray:

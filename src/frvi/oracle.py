@@ -180,9 +180,9 @@ def oracle_solve_vi(data: ProblemData, tol: float = 1e-9,
     Each iteration is one sweep from the state (w, y): (i) linear solve in
     u with the gradient target w and dual y fixed, (ii) ball projection of
     D^s u + y for w, (iii) dual ascent.  The next state is the Anderson
-    extrapolation of the sweeps.  It stops when both residuals of a sweep
-    are below tol (relative to 1 + |D^s u|); max_iter bounds the sweeps,
-    so the linear solves.
+    extrapolation of the sweeps.  It stops when both residuals of a sweep,
+    in gradient units (the dual one without rho), are below tol (relative
+    to 1 + |D^s u|); max_iter bounds the sweeps, so the linear solves.
     """
     check_oracle_input(data)
     if not 0.0 < tol < math.inf:
@@ -218,7 +218,7 @@ def oracle_solve_vi(data: ProblemData, tol: float = 1e-9,
         # the dual residual (two transforms) is read once the primal passes
         if primal <= tol * size or it == max_iter - 1:
             dual_field = neg_div_arrays(image[0] - w, grid, sigma)[inside]
-            dual = rho * float(np.sqrt(hN * np.sum(dual_field**2)))
+            dual = float(np.sqrt(hN * np.sum(dual_field**2)))
             if primal <= tol * size and dual <= tol * size:
                 return ScalarField(grid, u_vals)
         accel.step(z, image)

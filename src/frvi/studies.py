@@ -1,7 +1,9 @@
 """Experiment drivers checking the solver's quantitative behaviour:
 Lipschitz dependence on the source, half-order Hoelder dependence on the
 threshold, the classical-gradient limit, penalty traces along the
-continuation, and the threshold-continuity (Mosco-type) diagnostic.
+continuation, and the threshold-continuity (Mosco-type) diagnostic.  The
+perturbed problems of the first two and of the last are solved by
+continuing the base solution (solve_vi with it as init).
 
 Every bound check assembles its constant from measured ingredients only
 (ellipticity bounds, the threshold floor, source norms and the certified
@@ -12,7 +14,7 @@ string next to the verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -84,7 +86,7 @@ def lipschitz_study_f(base: ProblemData, deltas: list,
         data2 = ProblemData(base.mask, base.sigma, base.A,
                             ScalarField(base.grid, base.f.values + delta.values),
                             base.g)
-        sol2 = solve_vi(data2, cfg)
+        sol2 = solve_vi(data2, cfg, init=sol0)
         du = hsigma_norm(ScalarField(base.grid, sol2.u.values - sol0.u.values),
                          base.sigma)
         ratios_sharp.append(du / dn_sharp)
@@ -125,7 +127,7 @@ def holder_study_g(base: ProblemData, t_values: list, h_direction: ScalarField,
             continue
         thr = Threshold(ScalarField(
             base.grid, base.g.g.values + t * h_direction.values), base.g.nu)
-        sol_t = solve_vi(ProblemData(base.mask, base.sigma, base.A, base.f, thr), cfg)
+        sol_t = solve_vi(replace(base, g=thr), cfg, init=sol0)
         du = hsigma_norm(ScalarField(base.grid, sol_t.u.values - sol0.u.values),
                          base.sigma)
         rho = du / math.sqrt(t * h_inf)
@@ -223,7 +225,7 @@ def mosco_diagnostic(data: ProblemData, g_sequence: list,
     rows, devs, gaps = [], [], []
     for i, thr in enumerate(g_sequence):
         gap = float(np.abs(thr.g.values - data.g.g.values).max())
-        sol_n = solve_vi(ProblemData(data.mask, data.sigma, data.A, data.f, thr), cfg)
+        sol_n = solve_vi(replace(data, g=thr), cfg, init=sol0)
         dev = hsigma_norm(ScalarField(data.grid, sol_n.u.values - sol0.u.values),
                           data.sigma)
         rows.append([i, gap, dev])

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -63,6 +63,10 @@ DENSE_NEWTON_BUDGET = 2**23
 # tolerance of its primal and dual residuals, and its sweep cap.
 SEED_TOL = 1e-3
 SEED_SWEEPS = 50
+
+# newton_max of the eps_min solve continuing a nearby solution, past which
+# solve_vi reruns cold (README "Numerical notes" says why 9).
+CONTINUED_NEWTON_MAX = 9
 
 
 class SolverDivergence(RuntimeError):
@@ -602,7 +606,7 @@ def solve_penalized(data: ProblemData, eps: float, init: ScalarField,
 
 
 def _solve_penalized_impl(data: ProblemData, eps: float, init: ScalarField,
-                          cfg: PenaltyConfig) -> tuple:
+                          cfg: PenaltyConfig, picard: bool = True) -> tuple:
     assert_supported(init, data.mask)
     sys = _PenalizedSystem(data, eps)
     x = sys.pack(init.values)
@@ -629,7 +633,7 @@ def _solve_penalized_impl(data: ProblemData, eps: float, init: ScalarField,
         trial = _backtrack(sys, x, d, 1.0, lambda merit, r_try, step: (
             merit <= (1.0 - 1e-4 * step) * merit0
             or (sys.A.is_symmetric and float(d @ r_try) <= 1e-4 * slope0 < 0.0)))
-        if trial is None:
+        if trial is None and picard:
             # Picard fallback: frozen-coefficient solve, small safe steps
             x_lin, info = sys.solve(sys.f_inside, k, rtol=1e-10)
             nonconverged += info != 0
@@ -861,16 +865,17 @@ def _splitting_start(data: ProblemData, cfg: PenaltyConfig) -> ScalarField:
     whose applied coefficient is symmetric.
 
     Plain sweeps from (w, y) = 0 at penalty rho = a_*, the lower bound of A,
-    as in the oracle, so that scaling A and f together leaves the iterates
-    unchanged: the linear step in u with the gradient target w and scaled
-    dual y fixed, the ball projection of D^sigma u + y for w, and the dual
-    ascent.  The linear step's matrix G^T (A + rho) G is
+    as in the oracle: the linear step in u with the gradient target w and
+    scaled dual y fixed, the ball projection of D^sigma u + y for w, and
+    the dual ascent.  The linear step's matrix G^T (A + rho) G is
     _PenalizedSystem.assemble(rho), positive definite because gram_spectrum
     certified G; each sweep solves it by LU with one right-hand side, the
     LAPACK call of the Newton path (README "Numerical notes" says why not a
     factor or an inverse kept across sweeps).  Stops when the primal and
-    dual residuals are at most SEED_TOL (1 + |D^sigma u|), or after
-    SEED_SWEEPS sweeps; either way it returns the last u."""
+    dual residuals, both in gradient units (the dual without rho), are at
+    most SEED_TOL (1 + |D^sigma u|), or after SEED_SWEEPS sweeps; either
+    way it returns the last u.  So scaling A and f together changes
+    neither the iterates nor the number of sweeps."""
     grid = data.grid
     hN = grid.cell_volume
     sys = _PenalizedSystem(data, cfg.eps0)
@@ -883,7 +888,7 @@ def _splitting_start(data: ProblemData, cfg: PenaltyConfig) -> ScalarField:
         w_next = ball_projection(du + y, sys.g)
         y = y + du - w_next
         primal = math.sqrt(hN * float(np.sum((du - w_next) ** 2)))
-        dual = rho * math.sqrt(hN * float(np.sum(sys.neg_div(w_next - w) ** 2)))
+        dual = math.sqrt(hN * float(np.sum(sys.neg_div(w_next - w) ** 2)))
         w = w_next
         if max(primal, dual) <= SEED_TOL * (1.0 + math.sqrt(hN * float(np.sum(du**2)))):
             break
@@ -891,7 +896,8 @@ def _splitting_start(data: ProblemData, cfg: PenaltyConfig) -> ScalarField:
 
 
 def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
-             init: ScalarField | None = None, shrink: bool = False) -> VISolution:
+             init: ScalarField | VISolution | None = None,
+             shrink: bool = False) -> VISolution:
     """Continuation solve of the constrained problem.
 
     Runs the penalized solver along the geometric eps schedule with warm
@@ -919,6 +925,12 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
     solves on a mask share its _active_gram, so one after others on the
     mask may differ from a first one at round-off, in the preconditioner.
 
+    An init that is the VISolution `prev` of a nearby problem (same mask,
+    sigma and A, else ValueError) is continued: from the tangent predictor
+    of _continued, one penalized solve at eps_min within the Newton budget
+    CONTINUED_NEWTON_MAX and with no Picard fallback gives one trace row.
+    If it diverges, the cold solve runs, trace[0] adding the failed steps.
+
     Feasibility is only reached asymptotically along the schedule; with
     shrink=True the returned u is additionally scaled by nu/(nu + eta)
     (eta the residual excess), which makes it strictly feasible while the
@@ -926,6 +938,31 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
     sampled diagnostic of the returned u runs when its vi_res is first read.
     """
     cfg = cfg or PenaltyConfig()
+    if isinstance(init, VISolution):
+        u, trace, k = _continued(data, cfg, init)
+    else:
+        u, trace, k = _along_schedule(data, cfg, init)
+    last = trace[-1]
+    viol, en = last.feas_violation, last.energy
+    if shrink:
+        u, w = _shrink_with_grad(u, data)
+        viol = 0.0  # shrink_to_feasible returns only once this is exactly 0
+        en = _energy_of_grad(u, w, data) if data.A.is_symmetric else None
+    return VISolution(
+        u=u,
+        multiplier=ScalarField(data.grid, k),  # the last row's, of the unshrunk u
+        eps_final=last.eps,
+        feas_violation=viol,
+        comp_gap=last.comp_gap,
+        energy=en,
+        data=data,
+        trace=trace,
+    )
+
+
+def _along_schedule(data: ProblemData, cfg: PenaltyConfig,
+                    init: ScalarField | None) -> tuple:
+    """solve_vi's eps schedule from init: (u, trace, multiplier values)."""
     grid = data.grid
     u = init if init is not None else ScalarField(grid, np.zeros(grid.shape))
     cold = not np.any(u.values)
@@ -960,22 +997,37 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
                 break
         path = path[-1:] + [(eps, u)]
     trace[0].newton_iters += stage_iters
-    last = trace[-1]
-    viol, en = last.feas_violation, last.energy
-    if shrink:
-        u, w = _shrink_with_grad(u, data)
-        viol = 0.0  # shrink_to_feasible returns only once this is exactly 0
-        en = _energy_of_grad(u, w, data) if data.A.is_symmetric else None
-    return VISolution(
-        u=u,
-        multiplier=ScalarField(grid, k),  # the last row's, of the unshrunk u
-        eps_final=last.eps,
-        feas_violation=viol,
-        comp_gap=last.comp_gap,
-        energy=en,
-        data=data,
-        trace=trace,
-    )
+    return u, trace, k
+
+
+def _continued(data: ProblemData, cfg: PenaltyConfig, prev: VISolution) -> tuple:
+    """solve_vi from the solution prev of a nearby problem: (u, trace,
+    multiplier values).  The start is prev.u + d, d the tangent predictor:
+    prev's Newton system at prev.u (at prev.eps_final) solved for the
+    change of the residual with the data, f - f_prev on Omega plus
+    P(-div^sigma)[k'(s) (g - g_prev) D^sigma u_prev], k' the penalty slope."""
+    old = prev.data
+    if (old.mask != data.mask or old.sigma != data.sigma
+            or not np.array_equal(old.A.values, data.A.values)):
+        raise ValueError("init solves a problem on another mask, sigma or A")
+    sys = _PenalizedSystem(old, prev.eps_final)
+    x = sys.pack(prev.u.values)
+    w = sys.gradient(x)
+    k, coef = sys.linearization(w)
+    slope_dg = (coef * magnitude(w)) * (data.g.g.values - old.g.g.values)  # k' (g - g_prev)
+    rhs = sys.pack(data.f.values - old.f.values) + sys.neg_div(slope_dg * w)
+    d, _ = sys.solve(rhs, k, w, coef)
+    start = ScalarField(data.grid, sys.unpack(x + d))
+    try:
+        u, iters = _solve_penalized_impl(
+            data, cfg.eps_min, start, replace(cfg, newton_max=CONTINUED_NEWTON_MAX),
+            picard=False)
+    except SolverDivergence as exc:
+        u, trace, k = _along_schedule(data, cfg, None)
+        trace[0].newton_iters += len(exc.history)
+        return u, trace, k
+    row, k = _trace_row(data, u, cfg.eps_min, iters)
+    return u, [row], k
 
 
 def multiplier_equation_residual(sol: VISolution, data: ProblemData) -> float:

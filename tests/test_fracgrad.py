@@ -4,7 +4,15 @@ import time
 import numpy as np
 import pytest
 
-from frvi.fields import ScalarField, VectorField, inner, lp_norm, make_grid, mask_box
+from frvi.fields import (
+    DomainMask,
+    ScalarField,
+    VectorField,
+    inner,
+    lp_norm,
+    make_grid,
+    mask_box,
+)
 from frvi.fracgrad import (
     STACK_NODE_LIMIT,
     FracOrder,
@@ -218,6 +226,28 @@ def test_gradient_rows_are_slices_of_the_gradient_matrix(mask):
     assert gradient_rows(m, 0.4, nodes).tobytes() == G[:, nodes].tobytes()
     assert gradient_rows(m, 0.4, np.arange(grid.num_nodes)).tobytes() == G.tobytes()
     assert gradient_rows(m, 0.4, []).shape == (grid.dim, 0, m.num_inside)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 16), (3, 8)])
+def test_gram_and_gradient_rows_gather_at_the_wrapped_differences(dim, n):
+    # a random (non-box) mask: each entry is the kernel read at the
+    # difference of the two nodes' coordinates taken mod n
+    g = make_grid(dim, 2.0, n)
+    rng = np.random.default_rng(dim)
+    m = DomainMask(g, rng.random(g.shape) < 0.3, padding_fraction=0.0)
+    inside = np.argwhere(m.inside)
+    nodes = rng.permutation(g.num_nodes)[:11]
+    rows = np.column_stack(np.unravel_index(nodes, g.shape))
+
+    def wrapped(a, b):
+        return tuple(np.mod(a[:, None, j] - b[None, :, j], n) for j in range(dim))
+    impulse = np.zeros(g.shape)
+    impulse[(0,) * dim] = 1.0
+    lap = frac_laplacian(ScalarField(g, impulse), 0.4).values
+    assert np.array_equal(gram_matrix(m, 0.4), lap[wrapped(inside, inside)])
+    grad = grad_arrays(impulse, g, 0.4)
+    expected = np.stack([comp[wrapped(rows, inside)] for comp in grad])
+    assert np.array_equal(gradient_rows(m, 0.4, nodes), expected)
 
 
 def test_gradient_matrix_rejects_oversized_masks():

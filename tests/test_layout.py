@@ -1,7 +1,7 @@
 """Source-layout rules: private helpers stay inside their module, the
 Fourier transforms and the size limits live in the spectral core
 (frvi.fracgrad) only, every name the benchmark's tracer wraps still exists
-(and the oracle's still do the counted work), every config key the CLI
+(and the oracle's and the inner solves' still do the counted work), every config key the CLI
 accepts is read, nothing reads the environment, every module cache keyed
 on arguments is bounded, and the oracle takes only data types from the
 penalty route."""
@@ -16,8 +16,11 @@ import numpy as np
 
 import frvi.cli
 import frvi.oracle
+import frvi.qvi
+import frvi.studies
 import frvi.vi
 from frvi.fields import ScalarField, make_grid, mask_box, scalar_field
+from frvi.instances import QVI_INNER_CFG, QVI_OUTER_TOL, qvi_kernel_1d
 from frvi.vi import PenaltyConfig, ProblemData, Threshold, identity_coefficients
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,6 +96,32 @@ def test_benchmark_oracle_probes_fire():
         tracer.restore()
     for count in ("oracle.runs", "oracle.factorizations", "oracle.iterations"):
         assert tracer.counts[count] >= 1, count
+
+
+def test_benchmark_inner_solve_probes_fire():
+    # the tracer counts the inner solves of the studies and of the Picard
+    # loop at the name solve_vi in frvi.studies and frvi.qvi; a solve made
+    # through another entry point would read 0
+    tracing = _benchmark_tracing()
+    tracer = tracing.Tracer()
+    grid = make_grid(1, 2.0, 32)
+    mask = mask_box(grid, 1.0)
+    f = ScalarField(grid, np.where(mask.inside, 10.0, 0.0))
+    data = ProblemData(mask, 0.5, identity_coefficients(grid), f,
+                       Threshold(scalar_field(grid, 1.0), 1.0))
+    deltas = [ScalarField(grid, c * f.values) for c in (0.1, 0.2)]
+    inst = qvi_kernel_1d()
+    try:
+        tracing.install(tracer)
+        tracer.active = True
+        frvi.studies.lipschitz_study_f(data, deltas)
+        sol = frvi.qvi.solve_qvi(inst.problem, inst.operator, QVI_INNER_CFG,
+                                 outer_tol=QVI_OUTER_TOL)
+    finally:
+        tracer.active = False
+        tracer.restore()
+    assert tracer.counts["studies.inner_solves"] == 3
+    assert tracer.counts["qvi.inner_solves"] == sol.iterations + 1
 
 
 def test_every_cli_key_is_read():

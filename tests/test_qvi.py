@@ -373,8 +373,9 @@ def test_integral_gamma_bounds_hold_on_samples():
 
 def _full_schedule_picard(problem, operator, cfg, outer_tol, outer_max=40):
     """Reference: solve_qvi's damped Picard loop with every inner solve run
-    along the whole eps schedule, as before warm solves started at eps_min
-    (the shipped instances never change the damping)."""
+    along the whole eps schedule from the previous iterate, not continued
+    from the previous inner solution at eps_min (the shipped instances
+    never change the damping)."""
     grid = problem.mask.grid
     u = ScalarField(grid, np.zeros(grid.shape))
     iterations = 0
@@ -420,6 +421,8 @@ def test_only_the_first_inner_solve_runs_the_eps_schedule(monkeypatch):
     assert first == schedule[:len(first)] and len(first) > 1
     for inner in calls[1:]:
         assert [row.eps for row in inner.trace] == [QVI_INNER_CFG.eps_min]
+        # 15, 6, 2, 1, 1 Newton steps from the previous iterate, untangented
+        assert inner.trace[0].newton_iters <= 3
     assert calls[-1] is sol.inner
 
 

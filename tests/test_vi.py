@@ -532,8 +532,8 @@ def _record_penalized_solves(monkeypatch):
     calls = []
     impl = frvi.vi._solve_penalized_impl
 
-    def recorded(data, eps, init, cfg):
-        u, iters = impl(data, eps, init, cfg)
+    def recorded(data, eps, init, cfg, **kwargs):
+        u, iters = impl(data, eps, init, cfg, **kwargs)
         calls.append((eps, float(np.abs(data.f.values).max()), iters))
         return u, iters
     monkeypatch.setattr(frvi.vi, "_solve_penalized_impl", recorded)
@@ -750,6 +750,89 @@ def test_divergence_from_a_predicted_start_reruns_the_step(monkeypatch, path, st
     assert np.array_equal(rerun, previous)
     assert sol.trace[step].newton_iters == 7 + calls[step + 1][3]
     assert sol.feas_violation <= 1e-3 * data.g.nu
+
+
+@pytest.mark.parametrize("scale", [0.01, 100.0])
+def test_splitting_start_sweeps_do_not_depend_on_the_scale_of_a(monkeypatch, scale):
+    # both residuals are compared in gradient units: with the dual one
+    # carrying rho = a_*, the scaled starts ran 10 and 18 sweeps against 12
+    base = binding_1d()
+    sweeps = []
+    project = frvi.vi.ball_projection
+
+    def counted(*args):
+        sweeps[-1] += 1
+        return project(*args)
+    monkeypatch.setattr(frvi.vi, "ball_projection", counted)
+    for c in (1.0, scale):
+        A = EllipticCoefficients(base.grid, c * base.A.values, a_star=c * base.A.a_star,
+                                 a_upper=c * base.A.a_upper)
+        sweeps.append(0)
+        frvi.vi._splitting_start(ProblemData(base.mask, base.sigma, A, ScalarField(
+            base.grid, c * base.f.values), base.g), VI_CFG)
+    assert sweeps[0] == sweeps[1] < frvi.vi.SEED_SWEEPS
+
+
+# -- continuing the solution of a nearby problem -------------------------------
+
+
+def _perturbed(data, f_factor=1.0, g_factor=1.0, g_shift=0.0):
+    """data with (f, g) replaced by (f_factor f, g_factor g + g_shift)."""
+    g = Threshold(ScalarField(data.grid, g_factor * data.g.g.values + g_shift),
+                  g_factor * data.g.nu + g_shift)
+    return ProblemData(data.mask, data.sigma, data.A,
+                       ScalarField(data.grid, f_factor * data.f.values), g)
+
+
+@pytest.mark.parametrize("instance, change", [
+    (binding_1d, dict(f_factor=1.1)), (binding_1d, dict(g_shift=12.0)),
+    (binding_1d, dict(g_factor=1.5)), (binding_2d, dict(g_factor=1.05)),
+    (_variable_skew_box_32, dict(g_factor=1.05))],
+    ids=["1d-f", "1d-g-shift", "1d-g-scale", "2d-g", "2d-variable-skew-g"])
+def test_continued_solve_agrees_with_a_cold_one(instance, change):
+    base = instance()
+    data = _perturbed(base, **change)
+    cold = solve_vi(data, VI_CFG)
+    continued = solve_vi(data, VI_CFG, init=solve_vi(base, VI_CFG))
+    assert [row.eps for row in continued.trace] == [VI_CFG.eps_min]
+    gap = hsigma_norm(ScalarField(data.grid, continued.u.values - cold.u.values), data.sigma)
+    assert gap <= 1e-6 * hsigma_norm(cold.u, data.sigma)
+
+
+def test_diverging_continued_solve_reruns_cold(monkeypatch):
+    base = binding_1d()
+    data = _perturbed(base, f_factor=1.1)
+    prev = solve_vi(base, VI_CFG)
+    cold = solve_vi(data, VI_CFG)
+    impl = frvi.vi._solve_penalized_impl
+
+    def forced(d, eps, init, cfg, picard=True):
+        if not picard:
+            assert cfg.newton_max == frvi.vi.CONTINUED_NEWTON_MAX
+            raise SolverDivergence("forced", iterate=init, history=[1.0] * 4)
+        return impl(d, eps, init, cfg)
+    monkeypatch.setattr(frvi.vi, "_solve_penalized_impl", forced)
+    sol = solve_vi(data, VI_CFG, init=prev)
+    assert [row.eps for row in sol.trace] == [row.eps for row in cold.trace]
+    assert sol.trace[0].newton_iters == 4 + cold.trace[0].newton_iters
+    assert [row.newton_iters for row in sol.trace[1:]] == [
+        row.newton_iters for row in cold.trace[1:]]
+    assert np.array_equal(sol.u.values, cold.u.values)
+
+
+def test_continuing_a_solution_of_another_operator_is_rejected():
+    base = binding_1d()
+    prev = solve_vi(base, VI_CFG)
+    grid = base.grid
+    others = [
+        ProblemData(mask_box(grid, 0.9), base.sigma, base.A, ScalarField(
+            grid, np.where(mask_box(grid, 0.9).inside, 100.0, 0.0)), base.g),
+        ProblemData(base.mask, 0.6, base.A, base.f, base.g),
+        ProblemData(base.mask, base.sigma, identity_coefficients(grid, 2.0), base.f, base.g),
+    ]
+    for data in others:
+        with pytest.raises(ValueError, match="another mask, sigma or A"):
+            solve_vi(data, VI_CFG, init=prev)
 
 
 def test_penalty_config_floor_enforced():
