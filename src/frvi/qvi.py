@@ -6,7 +6,7 @@ contraction certificate for the separated-form operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,8 +22,10 @@ from .vi import (
     EllipticCoefficients,
     PenaltyConfig,
     ProblemData,
+    SolverDivergence,
     Threshold,
     VISolution,
+    continues,
     solve_vi,
 )
 
@@ -428,12 +430,15 @@ def solve_qvi(problem: QVIProblem, operator: ThresholdOperator,
     """Damped Picard iteration u <- (1-d) u + d S(f, G[u]).
 
     The first inner solve starts from init, or zero, and runs the whole eps
-    schedule of inner_cfg; every later one continues the previous inner
-    solution (solve_vi with it as init): one tangent step for the new
-    threshold and one penalized solve at eps_min, rerun cold by solve_vi
-    when it diverges, as it can when the threshold moved far between outer
-    steps.  The sampled vi_residual runs only when a solution's vi_res is
-    read, as that of the final solve, returned as `inner`, can be.
+    schedule of inner_cfg.  On the dense path (vi.continues) every later
+    one continues the previous inner solution (solve_vi with it as init):
+    one tangent step for the new threshold and one penalized solve at
+    eps_min, rerun cold by solve_vi when it diverges, as it can when the
+    threshold moved far between outer steps.  On the Krylov path every
+    later one is one penalized solve at eps_min from the previous iterate,
+    rerun from it along the whole schedule when it diverges.  The sampled
+    vi_residual runs only when a solution's vi_res is read, as that of the
+    final solve, returned as `inner`, can be.
 
     The damping d starts at 1 and is halved after three consecutive
     non-decreasing fixed-point residuals.  On success the returned iterate
@@ -446,17 +451,28 @@ def solve_qvi(problem: QVIProblem, operator: ThresholdOperator,
         raise ValueError("invalid outer-loop controls: need a finite outer_tol > 0 "
                          "and outer_max >= 1")
     inner_cfg = inner_cfg or PenaltyConfig()
+    warm_cfg = replace(inner_cfg, eps0=inner_cfg.eps_min)
     grid = problem.mask.grid
     u = init if init is not None else ScalarField(grid, np.zeros(grid.shape))
-    start = u  # of the next inner solve: the last inner solution, once there is one
     trace = []
+
+    def inner_solve(g: Threshold, prev: VISolution | None) -> VISolution:
+        data = problem.with_threshold(g)
+        if prev is None or continues(data):
+            return solve_vi(data, inner_cfg, init=u if prev is None else prev)
+        try:
+            return solve_vi(data, warm_cfg, init=u)
+        except SolverDivergence:
+            return solve_vi(data, inner_cfg, init=u)
+
+    sol = None
     damping = 1.0
     stall = 0
     prev_res = math.inf
     converged = False
     for it in range(1, outer_max + 1):
         g_k = operator.apply(u)
-        sol = start = solve_vi(problem.with_threshold(g_k), inner_cfg, init=start)
+        sol = inner_solve(g_k, sol)
         u_next = ScalarField(grid, (1.0 - damping) * u.values + damping * sol.u.values)
         fp_res = hsigma_norm(
             ScalarField(grid, u_next.values - u.values), problem.sigma)
@@ -479,7 +495,7 @@ def solve_qvi(problem: QVIProblem, operator: ThresholdOperator,
         prev_res = fp_res
     # consistency solve at the converged threshold
     g_fix = operator.apply(u)
-    sol = solve_vi(problem.with_threshold(g_fix), inner_cfg, init=start)
+    sol = inner_solve(g_fix, sol)
     return QVISolution(
         u=sol.u, g_fixed=g_fix, iterations=len(trace),
         fixed_point_residual=trace[-1].fp_residual if trace else 0.0,

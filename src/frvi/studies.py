@@ -2,8 +2,8 @@
 Lipschitz dependence on the source, half-order Hoelder dependence on the
 threshold, the classical-gradient limit, penalty traces along the
 continuation, and the threshold-continuity (Mosco-type) diagnostic.  The
-perturbed problems of the first two and of the last are solved by
-continuing the base solution (solve_vi with it as init).
+first two and the last pass their base solution to each perturbed solve
+(solve_vi continues it on the dense path).
 
 Every bound check assembles its constant from measured ingredients only
 (ellipticity bounds, the threshold floor, source norms and the certified
@@ -14,7 +14,7 @@ string next to the verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,7 +127,8 @@ def holder_study_g(base: ProblemData, t_values: list, h_direction: ScalarField,
             continue
         thr = Threshold(ScalarField(
             base.grid, base.g.g.values + t * h_direction.values), base.g.nu)
-        sol_t = solve_vi(replace(base, g=thr), cfg, init=sol0)
+        sol_t = solve_vi(ProblemData(base.mask, base.sigma, base.A, base.f, thr), cfg,
+                         init=sol0)
         du = hsigma_norm(ScalarField(base.grid, sol_t.u.values - sol0.u.values),
                          base.sigma)
         rho = du / math.sqrt(t * h_inf)
@@ -225,7 +226,8 @@ def mosco_diagnostic(data: ProblemData, g_sequence: list,
     rows, devs, gaps = [], [], []
     for i, thr in enumerate(g_sequence):
         gap = float(np.abs(thr.g.values - data.g.g.values).max())
-        sol_n = solve_vi(replace(data, g=thr), cfg, init=sol0)
+        sol_n = solve_vi(ProblemData(data.mask, data.sigma, data.A, data.f, thr), cfg,
+                         init=sol0)
         dev = hsigma_norm(ScalarField(data.grid, sol_n.u.values - sol0.u.values),
                           data.sigma)
         rows.append([i, gap, dev])

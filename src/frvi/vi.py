@@ -64,8 +64,8 @@ DENSE_NEWTON_BUDGET = 2**23
 SEED_TOL = 1e-3
 SEED_SWEEPS = 50
 
-# newton_max of the eps_min solve continuing a nearby solution, past which
-# solve_vi reruns cold (README "Numerical notes" says why 9).
+# Cap on newton_max of the eps_min solve continuing a nearby solution on
+# the dense path, past which solve_vi reruns cold (README "Numerical notes").
 CONTINUED_NEWTON_MAX = 9
 
 
@@ -327,6 +327,12 @@ def _dense_gradient(mask: DomainMask, sigma: float) -> np.ndarray | None:
     if gram_spectrum(grid, sigma, inside) is None:
         return None
     return _cached_gradient_matrix(grid, sigma, inside)
+
+
+def continues(data: ProblemData) -> bool:
+    """Whether solve_vi continues a VISolution init for data: on the dense
+    path only, where the budget was measured (README "Numerical notes")."""
+    return _dense_gradient(data.mask, data.sigma) is not None
 
 
 @lru_cache(maxsize=16)
@@ -606,7 +612,7 @@ def solve_penalized(data: ProblemData, eps: float, init: ScalarField,
 
 
 def _solve_penalized_impl(data: ProblemData, eps: float, init: ScalarField,
-                          cfg: PenaltyConfig, picard: bool = True) -> tuple:
+                          cfg: PenaltyConfig) -> tuple:
     assert_supported(init, data.mask)
     sys = _PenalizedSystem(data, eps)
     x = sys.pack(init.values)
@@ -633,7 +639,7 @@ def _solve_penalized_impl(data: ProblemData, eps: float, init: ScalarField,
         trial = _backtrack(sys, x, d, 1.0, lambda merit, r_try, step: (
             merit <= (1.0 - 1e-4 * step) * merit0
             or (sys.A.is_symmetric and float(d @ r_try) <= 1e-4 * slope0 < 0.0)))
-        if trial is None and picard:
+        if trial is None:
             # Picard fallback: frozen-coefficient solve, small safe steps
             x_lin, info = sys.solve(sys.f_inside, k, rtol=1e-10)
             nonconverged += info != 0
@@ -926,10 +932,11 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
     mask may differ from a first one at round-off, in the preconditioner.
 
     An init that is the VISolution `prev` of a nearby problem (same mask,
-    sigma and A, else ValueError) is continued: from the tangent predictor
-    of _continued, one penalized solve at eps_min within the Newton budget
-    CONTINUED_NEWTON_MAX and with no Picard fallback gives one trace row.
-    If it diverges, the cold solve runs, trace[0] adding the failed steps.
+    sigma and A, else ValueError) is continued where continues(data): from
+    the tangent predictor of _continued, one penalized solve at eps_min
+    with newton_max at most CONTINUED_NEWTON_MAX gives one trace row.  If
+    it diverges, or where not continues(data), the cold solve runs, a
+    failed attempt's Newton steps added to its trace[0].
 
     Feasibility is only reached asymptotically along the schedule; with
     shrink=True the returned u is additionally scaled by nu/(nu + eta)
@@ -1002,14 +1009,16 @@ def _along_schedule(data: ProblemData, cfg: PenaltyConfig,
 
 def _continued(data: ProblemData, cfg: PenaltyConfig, prev: VISolution) -> tuple:
     """solve_vi from the solution prev of a nearby problem: (u, trace,
-    multiplier values).  The start is prev.u + d, d the tangent predictor:
-    prev's Newton system at prev.u (at prev.eps_final) solved for the
-    change of the residual with the data, f - f_prev on Omega plus
-    P(-div^sigma)[k'(s) (g - g_prev) D^sigma u_prev], k' the penalty slope."""
+    multiplier values).  It starts from prev.u + d, d solving prev's Newton
+    system at prev.u for the change of the residual with the data: f - f_prev
+    on Omega plus P(-div^sigma)[k'(s) (g - g_prev) D^sigma u_prev], k' the
+    penalty slope."""
     old = prev.data
     if (old.mask != data.mask or old.sigma != data.sigma
             or not np.array_equal(old.A.values, data.A.values)):
         raise ValueError("init solves a problem on another mask, sigma or A")
+    if not continues(data):
+        return _along_schedule(data, cfg, None)
     sys = _PenalizedSystem(old, prev.eps_final)
     x = sys.pack(prev.u.values)
     w = sys.gradient(x)
@@ -1019,9 +1028,8 @@ def _continued(data: ProblemData, cfg: PenaltyConfig, prev: VISolution) -> tuple
     d, _ = sys.solve(rhs, k, w, coef)
     start = ScalarField(data.grid, sys.unpack(x + d))
     try:
-        u, iters = _solve_penalized_impl(
-            data, cfg.eps_min, start, replace(cfg, newton_max=CONTINUED_NEWTON_MAX),
-            picard=False)
+        u, iters = _solve_penalized_impl(data, cfg.eps_min, start, replace(
+            cfg, newton_max=min(cfg.newton_max, CONTINUED_NEWTON_MAX)))
     except SolverDivergence as exc:
         u, trace, k = _along_schedule(data, cfg, None)
         trace[0].newton_iters += len(exc.history)

@@ -48,7 +48,13 @@ from frvi.qvi import (
 )
 import frvi.qvi
 import frvi.vi
-from frvi.vi import ProblemData, Threshold, sample_feasible, solve_vi
+from frvi.vi import (
+    ProblemData,
+    Threshold,
+    identity_coefficients,
+    sample_feasible,
+    solve_vi,
+)
 
 
 def test_sobolev_exponents_regimes():
@@ -424,6 +430,29 @@ def test_only_the_first_inner_solve_runs_the_eps_schedule(monkeypatch):
         # 15, 6, 2, 1, 1 Newton steps from the previous iterate, untangented
         assert inner.trace[0].newton_iters <= 3
     assert calls[-1] is sol.inner
+
+
+def test_krylov_path_inner_solves_start_from_the_iterate(monkeypatch):
+    # solve_vi does not continue there: each later inner solve is one
+    # penalized solve at eps_min from the previous Picard iterate
+    calls = []
+
+    def recorded(data, cfg, init=None):
+        sol = solve_vi(data, cfg, init=init)
+        calls.append((cfg.eps0, init, sol))
+        return sol
+    monkeypatch.setattr(frvi.qvi, "solve_vi", recorded)
+    grid = make_grid(2, 2.0, 32)
+    mask = mask_box(grid, 1.0)
+    prob = QVIProblem(mask, 0.4, identity_coefficients(grid), ScalarField(
+        grid, np.where(mask.inside, 200.0, 0.0)))
+    op = SeparatedOperator(scalar_field(grid, 187.0), ConstantGamma(1.0))
+    sol = solve_qvi(prob, op, QVI_INNER_CFG, outer_tol=QVI_OUTER_TOL)
+    assert not frvi.vi.continues(prob.with_threshold(sol.g_fixed))
+    assert sol.converged and len(calls) == sol.iterations + 1 >= 2
+    for eps0, init, inner in calls[1:]:
+        assert eps0 == QVI_INNER_CFG.eps_min and isinstance(init, ScalarField)
+        assert [row.eps for row in inner.trace] == [QVI_INNER_CFG.eps_min]
 
 
 def test_outer_inner_solves_sample_no_feasible_fields(monkeypatch):

@@ -3,6 +3,7 @@ import math
 import threading
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -532,8 +533,8 @@ def _record_penalized_solves(monkeypatch):
     calls = []
     impl = frvi.vi._solve_penalized_impl
 
-    def recorded(data, eps, init, cfg, **kwargs):
-        u, iters = impl(data, eps, init, cfg, **kwargs)
+    def recorded(data, eps, init, cfg):
+        u, iters = impl(data, eps, init, cfg)
         calls.append((eps, float(np.abs(data.f.values).max()), iters))
         return u, iters
     monkeypatch.setattr(frvi.vi, "_solve_penalized_impl", recorded)
@@ -784,19 +785,48 @@ def _perturbed(data, f_factor=1.0, g_factor=1.0, g_shift=0.0):
                        ScalarField(data.grid, f_factor * data.f.values), g)
 
 
-@pytest.mark.parametrize("instance, change", [
-    (binding_1d, dict(f_factor=1.1)), (binding_1d, dict(g_shift=12.0)),
-    (binding_1d, dict(g_factor=1.5)), (binding_2d, dict(g_factor=1.05)),
-    (_variable_skew_box_32, dict(g_factor=1.05))],
-    ids=["1d-f", "1d-g-shift", "1d-g-scale", "2d-g", "2d-variable-skew-g"])
-def test_continued_solve_agrees_with_a_cold_one(instance, change):
-    base = instance()
+@pytest.mark.parametrize("change", [
+    dict(f_factor=1.1), dict(g_shift=12.0), dict(g_factor=1.5)],
+    ids=["f", "g-shift", "g-scale"])
+def test_continued_solve_agrees_with_a_cold_one(change):
+    base = binding_1d()
     data = _perturbed(base, **change)
     cold = solve_vi(data, VI_CFG)
     continued = solve_vi(data, VI_CFG, init=solve_vi(base, VI_CFG))
     assert [row.eps for row in continued.trace] == [VI_CFG.eps_min]
     gap = hsigma_norm(ScalarField(data.grid, continued.u.values - cold.u.values), data.sigma)
     assert gap <= 1e-6 * hsigma_norm(cold.u, data.sigma)
+
+
+@pytest.mark.parametrize("instance", [binding_2d, _variable_skew_box_32])
+def test_krylov_path_solves_a_continued_problem_cold(instance):
+    # no workload measures continued Krylov solves: there the cold
+    # schedule runs, as without the init
+    base = instance()
+    data = _perturbed(base, g_factor=1.05)
+    prev = solve_vi(base, VI_CFG)
+    cold = solve_vi(data, VI_CFG)
+    sol = solve_vi(data, VI_CFG, init=prev)
+    assert not frvi.vi.continues(data)
+    assert [(r.eps, r.newton_iters) for r in sol.trace] == [
+        (r.eps, r.newton_iters) for r in cold.trace]
+    assert np.array_equal(sol.u.values, cold.u.values)
+
+
+@pytest.mark.parametrize("newton_max", [80, 5])
+def test_continued_solve_keeps_within_the_callers_newton_max(monkeypatch, newton_max):
+    base = binding_1d()
+    prev = solve_vi(base, VI_CFG)
+    cfg = replace(VI_CFG, newton_max=newton_max)
+    seen = []
+    impl = frvi.vi._solve_penalized_impl
+
+    def recorded(d, eps, init, cfg):
+        seen.append(cfg.newton_max)
+        return impl(d, eps, init, cfg)
+    monkeypatch.setattr(frvi.vi, "_solve_penalized_impl", recorded)
+    solve_vi(_perturbed(base, f_factor=1.1), cfg, init=prev)
+    assert seen == [min(newton_max, frvi.vi.CONTINUED_NEWTON_MAX)]
 
 
 def test_diverging_continued_solve_reruns_cold(monkeypatch):
@@ -806,9 +836,9 @@ def test_diverging_continued_solve_reruns_cold(monkeypatch):
     cold = solve_vi(data, VI_CFG)
     impl = frvi.vi._solve_penalized_impl
 
-    def forced(d, eps, init, cfg, picard=True):
-        if not picard:
-            assert cfg.newton_max == frvi.vi.CONTINUED_NEWTON_MAX
+    def forced(d, eps, init, cfg):
+        # the continued attempt is the one solve with the continued budget
+        if cfg.newton_max == frvi.vi.CONTINUED_NEWTON_MAX:
             raise SolverDivergence("forced", iterate=init, history=[1.0] * 4)
         return impl(d, eps, init, cfg)
     monkeypatch.setattr(frvi.vi, "_solve_penalized_impl", forced)
