@@ -9,7 +9,6 @@ scale-proportional acceptance bounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -154,8 +153,9 @@ def qvi_separated_certified() -> QVIInstance:
     f_norm = lp_norm(prob.f, two_sharp, prob.mask)
     c_sharp = c_star / prob.A.a_star
     target_ratio = 0.5 / (2.0 * c_sharp * f_norm)  # required lip/floor
+    # lip = c1 beta and floor = 1 + c1 |Omega|, beta read off at c1 = 1
+    beta = IntegralGamma(1.0, 1.0, prob.mask, prob.sigma, c_poincare).lip(0.0)
     vol = prob.mask.volume
-    beta = 2.0 * math.sqrt(vol) * max(1.0, c_poincare)
     c1 = target_ratio / (beta - target_ratio * vol)
     gamma = IntegralGamma(1.0, c1, prob.mask, prob.sigma, c_poincare)
     phi = scalar_field(prob.mask.grid, 147.0)

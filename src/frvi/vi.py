@@ -604,8 +604,9 @@ def solve_penalized(data: ProblemData, eps: float, init: ScalarField,
     near the solution.  Falls back to frozen-coefficient (Picard) steps,
     backtracking from half the step to the frozen solution, when Newton's
     backtracking stalls.  Converges to sup-norm residual on Omega below newton_tol * (1 +
-    sup|f|), judged on the true residual, so the inexact directions do not
-    weaken the stopping test.
+    sup|f|) within newton_max Newton steps, the residual tested after the
+    last one too, judged on the true residual, so the inexact directions do
+    not weaken the stopping test.
     """
     u, _ = _solve_penalized_impl(data, eps, init, cfg)
     return u
@@ -621,11 +622,14 @@ def _solve_penalized_impl(data: ProblemData, eps: float, init: ScalarField,
     nonconverged = 0  # Krylov solves of this eps step that did not converge
     w = sys.gradient(x)
     r = sys.residual_of_grad(w)
-    for it in range(cfg.newton_max):
+    for it in range(cfg.newton_max + 1):
         res_sup = float(np.abs(r).max())
-        history.append(res_sup)
         if res_sup <= tol:
             return ScalarField(data.grid, sys.unpack(x)), it
+        if it == cfg.newton_max:
+            failure = f"newton_max={cfg.newton_max} exceeded at eps={eps:.4g} ("
+            break
+        history.append(res_sup)  # one entry per Newton step taken or tried
         # solve for d / 2^e with 2^e near res_sup: an exact scaling that
         # keeps the Krylov norms of a residual beyond 1e154 representable
         scale = math.ldexp(1.0, min(math.frexp(res_sup)[1], 1023))
@@ -649,8 +653,6 @@ def _solve_penalized_impl(data: ProblemData, eps: float, init: ScalarField,
             failure = f"no descent at eps={eps:.4g} (residual {res_sup:.3e}, "
             break
         x, w, r = trial
-    else:
-        failure = f"newton_max={cfg.newton_max} exceeded at eps={eps:.4g} ("
     raise SolverDivergence(
         failure + f"{nonconverged} Krylov solves not converged)",
         iterate=ScalarField(data.grid, sys.unpack(x)), history=history,
@@ -763,24 +765,20 @@ def shrink_to_feasible(u: ScalarField, data: ProblemData) -> ScalarField:
     """Post-hoc strictly feasible output: u scaled by nu/(nu+eta), then by
     further factors 1 - 4 machine eps while round-off in the recomputed
     gradient still leaves an excess above g."""
-    return _shrink_with_grad(u, data)[0]
+    return _shrink_with_grad(u, data, grad_arrays(u.values, data.grid, data.sigma))
 
 
-def _shrink_with_grad(u: ScalarField, data: ProblemData,
-                      w: np.ndarray | None = None) -> tuple:
-    """shrink_to_feasible(u, data) and D^sigma of the field it returns, the
-    gradient it last checked; w, when given, is D^sigma u."""
-    if w is None:
-        w = grad_arrays(u.values, data.grid, data.sigma)
+def _shrink_with_grad(u: ScalarField, data: ProblemData, w: np.ndarray) -> ScalarField:
+    """shrink_to_feasible(u, data) given w = D^sigma u."""
     eta = _violation_of_grad(w, data)
     if eta == 0.0:
-        return u, w
+        return u
     factor = data.g.nu / (data.g.nu + eta)
     while True:
         shrunk = ScalarField(u.grid, factor * u.values)
         w = grad_arrays(shrunk.values, data.grid, data.sigma)
         if _violation_of_grad(w, data) == 0.0:
-            return shrunk, w
+            return shrunk
         factor *= 1.0 - 4.0 * np.finfo(float).eps
 
 
@@ -808,7 +806,7 @@ def vi_residual(u: ScalarField, data: ProblemData, trials: int = 32,
         return [hN * float(p) - hN * float(np.dot(f, dv.ravel()))
                 for p, dv in zip(pairings, dvs)]
 
-    fixed = np.stack([np.zeros(grid.shape), _shrink_with_grad(u, data, w)[0].values])
+    fixed = np.stack([np.zeros(grid.shape), _shrink_with_grad(u, data, w).values])
     values = functionals(fixed)
     samples = feasible_stack(data, rng, trials)
     for part in stack_slices(grid, trials):
@@ -902,8 +900,7 @@ def _splitting_start(data: ProblemData, cfg: PenaltyConfig) -> ScalarField:
 
 
 def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
-             init: ScalarField | VISolution | None = None,
-             shrink: bool = False) -> VISolution:
+             init: ScalarField | VISolution | None = None) -> VISolution:
     """Continuation solve of the constrained problem.
 
     Runs the penalized solver along the geometric eps schedule with warm
@@ -938,11 +935,11 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
     it diverges, or where not continues(data), the cold solve runs, a
     failed attempt's Newton steps added to its trace[0].
 
-    Feasibility is only reached asymptotically along the schedule; with
-    shrink=True the returned u is additionally scaled by nu/(nu + eta)
-    (eta the residual excess), which makes it strictly feasible while the
-    multiplier and trace still describe the unshrunk final iterate.  The
-    sampled diagnostic of the returned u runs when its vi_res is first read.
+    Every summary field of the returned VISolution is that of the last
+    trace row.  Feasibility is only reached asymptotically along the
+    schedule; a caller that needs a strictly feasible field takes
+    shrink_to_feasible(sol.u, data).  The sampled diagnostic of the returned
+    u runs when its vi_res is first read.
     """
     cfg = cfg or PenaltyConfig()
     if isinstance(init, VISolution):
@@ -950,18 +947,13 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
     else:
         u, trace, k = _along_schedule(data, cfg, init)
     last = trace[-1]
-    viol, en = last.feas_violation, last.energy
-    if shrink:
-        u, w = _shrink_with_grad(u, data)
-        viol = 0.0  # shrink_to_feasible returns only once this is exactly 0
-        en = _energy_of_grad(u, w, data) if data.A.is_symmetric else None
     return VISolution(
         u=u,
-        multiplier=ScalarField(data.grid, k),  # the last row's, of the unshrunk u
+        multiplier=ScalarField(data.grid, k),  # the last row's
         eps_final=last.eps,
-        feas_violation=viol,
+        feas_violation=last.feas_violation,
         comp_gap=last.comp_gap,
-        energy=en,
+        energy=last.energy,
         data=data,
         trace=trace,
     )

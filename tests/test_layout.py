@@ -1,9 +1,10 @@
 """Source-layout rules: private helpers stay inside their module, the
 Fourier transforms and the size limits live in the spectral core
 (frvi.fracgrad) only, every name the benchmark's tracer wraps still exists
-(and the oracle's and the inner solves' still do the counted work), every config key the CLI
-accepts is read, nothing reads the environment, every module cache keyed
-on arguments is bounded, and the oracle takes only data types from the
+(and the oracle's and the inner solves' still do the counted work), every
+config key the CLI accepts is read, nothing reads the environment, random
+generators are made in two named places only, every module cache keyed on
+arguments is bounded, and the oracle takes only data types from the
 penalty route."""
 
 import ast
@@ -179,6 +180,36 @@ def test_module_caches_are_bounded():
                 if not (len(sizes) == 1 and isinstance(sizes[0], ast.Constant)
                         and type(sizes[0].value) is int):
                     offenders.append(f"{name}:{node.lineno} {node.name}")
+    assert not offenders, offenders
+
+
+def _calls_by_owner(tree, callee):
+    """(innermost enclosing function, or "<module>", line) of each call to a
+    name or attribute `callee` in the module tree."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and callee in (
+                    getattr(child.func, "attr", None), getattr(child.func, "id", None)):
+                found.append((owner, child.lineno))
+            visit(child, owner)
+    visit(tree, "<module>")
+    return found
+
+
+def test_random_generators_only_where_allowed():
+    # no certificate may rest on a random draw: a generator is made only for
+    # the CLI's seeded input field of study-sigma-limit and for the lazy
+    # sampled diagnostic vi_residual, which a sample-free certificate is to
+    # replace
+    allowed = {("cli.py", "_dispatch"), ("vi.py", "vi_residual")}
+    offenders = [f"{name}:{line} in {owner}" for name, tree in _modules()
+                 for owner, line in _calls_by_owner(tree, "default_rng")
+                 if (name, owner) not in allowed]
     assert not offenders, offenders
 
 

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +14,6 @@ from frvi.fields import (
     zero_field,
 )
 from frvi.fracgrad import (
-    band_limited_stack,
-    grad_arrays,
     gram_matrix,
     hsigma_norm,
     random_band_limited,
@@ -32,7 +31,6 @@ from frvi.instances import (
 )
 from frvi.qvi import (
     ConstantGamma,
-    GammaFunctional,
     IntegralGamma,
     KernelIntegralOperator,
     OuterFunction,
@@ -46,10 +44,12 @@ from frvi.qvi import (
     sobolev_exponents,
     solve_qvi,
 )
+import frvi.cli
 import frvi.qvi
 import frvi.vi
 from frvi.vi import (
     ProblemData,
+    SolverDivergence,
     Threshold,
     identity_coefficients,
     sample_feasible,
@@ -263,59 +263,60 @@ def test_certificate_linear_in_source_norm():
     assert rep0.certified
 
 
-def _lone_integral_gamma(gamma, u):
-    """IntegralGamma's value from one lone gradient."""
-    grid = gamma.mask.grid
-    du = grad_arrays(u, grid, gamma.sigma)
-    integrand = np.sqrt(1.0 + u**2 + np.sum(du * du, axis=0))
-    return gamma.eta0 + gamma.c1 * grid.cell_volume * float(
-        integrand[gamma.mask.inside].sum())
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def test_integral_gamma_values_are_lone_evaluations():
-    gamma = qvi_separated_certified().operator.gamma
-    grid = gamma.mask.grid
-    us = 40.0 * band_limited_stack(grid, np.random.default_rng(8), 70)  # three stacks
-    lone = [_lone_integral_gamma(gamma, u) for u in us]
-    assert gamma.values(us, grid).tolist() == lone
-    assert [gamma(ScalarField(grid, u)) for u in us] == lone
-
-
-def test_gamma_values_default_calls_the_functional_per_row():
-    class Peak(GammaFunctional):
-        def __call__(self, u):
-            return float(np.abs(u.values).max())
-
-    grid = binding_1d().grid
-    us = band_limited_stack(grid, np.random.default_rng(2), 3)
-    assert Peak().values(us, grid).tolist() == [float(np.abs(u).max()) for u in us]
-
-
-def test_certificate_falsifies_lying_modulus():
+def _shipped_functional(name):
+    """(problem data, SeparatedOperator) around each shipped functional: a
+    ConstantGamma, the certified instance's IntegralGamma and the
+    integral:1.0:0.00028 functional of configs/qvi_separated1d.cfg."""
+    if name == "config":
+        cfg = frvi.cli._load_config(str(CONFIGS / "qvi_separated1d.cfg"))
+        data, _ = frvi.cli._problem_from_config(cfg, CONFIGS)
+        return data, frvi.cli._operator_from_config(cfg, data)
     inst = qvi_separated_certified()
-    c_star, cp = estimated_constants_1d()
+    data = inst.problem.with_threshold(binding_1d().g)
+    if name == "constant":
+        return data, SeparatedOperator(scalar_field(data.grid, 147.0), ConstantGamma(2.0))
+    return data, inst.operator
 
-    class Lying(GammaFunctional):
-        def __init__(self, inner):
-            self.inner = inner
 
-        def __call__(self, u):
-            return self.inner(u)
+@pytest.mark.parametrize("name", ["constant", "certified", "config"])
+def test_shipped_functional_keeps_its_declared_bounds(name):
+    # contraction_certificate trusts floor, ceil and lip as declared: check
+    # them on seeded random pairs in B_R, R the certificate's R_f, each field
+    # a masked band-limited draw scaled to a uniform radius
+    data, op = _shipped_functional(name)
+    gamma, grid, sigma = op.gamma, data.grid, data.sigma
+    rep = frvi.cli._certificate(data, op)
+    radius = rep.R_f
+    floor, ceil, lip = gamma.floor(radius), gamma.ceil(radius), gamma.lip(radius)
+    assert (floor, lip) == (rep.eta_Rf, rep.gamma_Rf)
+    rng = np.random.default_rng(303)
 
-        def floor(self, radius):
-            return self.inner.floor(radius)
+    def draw():
+        z = np.where(data.mask.inside, random_band_limited(grid, rng).values, 0.0)
+        scale = rng.uniform(0.0, radius) / hsigma_norm(ScalarField(grid, z), sigma)
+        return ScalarField(grid, scale * z)
+    for _ in range(40):
+        u1, u2 = draw(), draw()
+        v1, v2 = gamma(u1), gamma(u2)
+        assert floor <= min(v1, v2) and max(v1, v2) <= ceil
+        dist = hsigma_norm(ScalarField(grid, u1.values - u2.values), sigma)
+        assert abs(v1 - v2) <= lip * dist + 1e-10 * (1.0 + abs(v1))
 
-        def ceil(self, radius):
-            return self.inner.ceil(radius)
 
-        def lip(self, radius):
-            return self.inner.lip(radius) * 1e-9  # vastly understated
+def test_certificate_draws_nothing(monkeypatch):
+    inst = qvi_separated_certified()
+    c_star, _ = estimated_constants_1d()
 
-    op = SeparatedOperator(scalar_field(inst.problem.mask.grid, 147.0),
-                           Lying(inst.operator.gamma))
-    with pytest.raises(ValueError, match="falsified"):
-        contraction_certificate(inst.problem.f, inst.problem.mask,
-                                inst.problem.sigma, op, c_star, 1.0)
+    def no_draw(*args, **kwargs):
+        raise AssertionError("contraction_certificate drew a random number")
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    rep = contraction_certificate(inst.problem.f, inst.problem.mask,
+                                  inst.problem.sigma, inst.operator, c_star,
+                                  inst.problem.A.a_star)
+    assert rep.certified
 
 
 def test_certified_instance_contracts_and_is_unique():
@@ -432,6 +433,14 @@ def test_only_the_first_inner_solve_runs_the_eps_schedule(monkeypatch):
     assert calls[-1] is sol.inner
 
 
+def _krylov_box_32():
+    """binding_2d's data on a 32^2 grid, whose solves take the Krylov path."""
+    grid = make_grid(2, 2.0, 32)
+    mask = mask_box(grid, 1.0)
+    return QVIProblem(mask, 0.4, identity_coefficients(grid), ScalarField(
+        grid, np.where(mask.inside, 200.0, 0.0)))
+
+
 def test_krylov_path_inner_solves_start_from_the_iterate(monkeypatch):
     # solve_vi does not continue there: each later inner solve is one
     # penalized solve at eps_min from the previous Picard iterate
@@ -442,10 +451,8 @@ def test_krylov_path_inner_solves_start_from_the_iterate(monkeypatch):
         calls.append((cfg.eps0, init, sol))
         return sol
     monkeypatch.setattr(frvi.qvi, "solve_vi", recorded)
-    grid = make_grid(2, 2.0, 32)
-    mask = mask_box(grid, 1.0)
-    prob = QVIProblem(mask, 0.4, identity_coefficients(grid), ScalarField(
-        grid, np.where(mask.inside, 200.0, 0.0)))
+    prob = _krylov_box_32()
+    grid = prob.mask.grid
     op = SeparatedOperator(scalar_field(grid, 187.0), ConstantGamma(1.0))
     sol = solve_qvi(prob, op, QVI_INNER_CFG, outer_tol=QVI_OUTER_TOL)
     assert not frvi.vi.continues(prob.with_threshold(sol.g_fixed))
@@ -495,3 +502,61 @@ def test_diverging_warm_inner_solve_reruns_the_schedule(first, later):
     gap = hsigma_norm(ScalarField(base.grid, sol.u.values - ref.u.values),
                       base.sigma)
     assert gap <= 1e-6 * (1.0 + hsigma_norm(ref.u, base.sigma))
+
+
+def test_krylov_path_reruns_a_diverging_warm_step_along_the_schedule(monkeypatch):
+    # the warm eps_min solve for g = 150 from the solution for g = 187
+    # exceeds newton_max; the schedule from the same iterate converges
+    calls = []
+
+    def recorded(data, cfg, init=None):
+        try:
+            sol = solve_vi(data, cfg, init=init)
+        except SolverDivergence:
+            calls.append((cfg.eps0, init, None))
+            raise
+        calls.append((cfg.eps0, init, sol))
+        return sol
+    monkeypatch.setattr(frvi.qvi, "solve_vi", recorded)
+    prob = _krylov_box_32()
+    op = _DroppingThreshold(187.0, 150.0)
+    sol = solve_qvi(prob, op, QVI_INNER_CFG, outer_tol=QVI_OUTER_TOL)
+    assert not frvi.vi.continues(prob.with_threshold(sol.g_fixed))
+    (warm_eps0, warm_init, failed), (cold_eps0, cold_init, rerun) = calls[1:3]
+    assert (warm_eps0, failed) == (QVI_INNER_CFG.eps_min, None)
+    assert cold_eps0 == QVI_INNER_CFG.eps0 and cold_init is warm_init
+    assert len(rerun.trace) > 1
+    assert sol.converged
+    ref = solve_vi(prob.with_threshold(op.apply(sol.u)), QVI_INNER_CFG)
+    gap = hsigma_norm(ScalarField(sol.u.grid, sol.u.values - ref.u.values), prob.sigma)
+    assert gap <= 1e-6 * (1.0 + hsigma_norm(ref.u, prob.sigma))
+
+
+class _Overshooting(ThresholdOperator):
+    """The constant threshold 150 - slope (|u|_Hsigma - n0): a larger iterate
+    gets a lower threshold, so a steep slope makes the undamped Picard map
+    overshoot its fixed point by more at each step."""
+
+    def __init__(self, sigma, n0, slope):
+        self.sigma, self.n0, self.slope = sigma, n0, slope
+        self.nu_out = 100.0
+
+    def _evaluate(self, u):
+        return np.full(u.grid.shape,
+                       150.0 - self.slope * (hsigma_norm(u, self.sigma) - self.n0))
+
+
+def test_damping_halves_after_three_non_decreasing_residuals():
+    base = binding_1d()
+    prob = QVIProblem(base.mask, base.sigma, base.A, base.f)
+
+    def solution(g):
+        thr = Threshold(scalar_field(base.grid, g), 100.0)
+        return solve_vi(prob.with_threshold(thr), QVI_INNER_CFG).u
+    op = _Overshooting(base.sigma, hsigma_norm(solution(150.0), base.sigma), 8.0)
+    sol = solve_qvi(prob, op, QVI_INNER_CFG, outer_tol=QVI_OUTER_TOL,
+                    outer_max=5, init=solution(149.0))
+    res = [row.fp_residual for row in sol.trace]
+    assert res[0] < res[1] < res[2] < res[3]  # 1.8, 4.5, 7.7, 14.8
+    assert [row.damping for row in sol.trace] == [1.0, 1.0, 1.0, 1.0, 0.5]
+    assert res[4] < res[3] and not sol.converged

@@ -375,6 +375,22 @@ def test_corrected_preconditioner_is_the_exact_inverse(monkeypatch, instance):
     assert np.abs(corrected - corrected.T).max() <= 1e-10 * scale
 
 
+def test_preconditioner_keeps_the_spectral_part_when_cholesky_fails(monkeypatch):
+    # a correction C that is not numerically positive definite is dropped
+    data = binding_1d()
+    u = solve_vi(data, VI_CFG).u
+    sys = _PenalizedSystem(data, VI_CFG.eps_min)
+    w = sys.gradient(sys.pack(u.values))
+    k, coef = sys.linearization(w)
+    assert np.any(coef > 0.0)
+
+    def indefinite(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+    monkeypatch.setattr(frvi.vi, "cho_factor", indefinite)
+    v = np.random.default_rng(6).normal(size=sys.m)
+    assert np.array_equal(sys.preconditioner(k, w, coef)(v), sys.preconditioner(k)(v))
+
+
 @pytest.mark.parametrize("dim, n, omega, corrected", [
     (1, 8192, 1.0, True), (1, 16384, 1.0, False),
     (2, 128, 0.7, True), (2, 128, 0.8, False),
@@ -985,12 +1001,12 @@ def test_solve_penalized_classical_order_shares_code_path():
 
 def test_solve_vi_shrink_flag_gives_strict_feasibility():
     data = small_binding_1d()
-    sol = solve_vi(data, VI_CFG, shrink=True)
-    assert sol.feas_violation == 0.0
     ref = solve_vi(data, VI_CFG)
+    shrunk = shrink_to_feasible(ref.u, data)
+    assert feasibility_violation(shrunk, data) == 0.0
     # the shrink factor nu/(nu+eta) is a small contraction of the iterate
     factor = data.g.nu / (data.g.nu + ref.feas_violation)
-    assert np.allclose(sol.u.values, factor * ref.u.values, rtol=1e-12)
+    assert np.allclose(shrunk.values, factor * ref.u.values, rtol=1e-12)
 
 
 def test_solve_vi_samples_nothing_until_vi_res_is_read(monkeypatch):
@@ -1015,13 +1031,27 @@ def test_solve_vi_samples_nothing_until_vi_res_is_read(monkeypatch):
     assert value == real_residual(sol.u, data)
 
 
-def test_shrunk_solution_reports_energy_and_residual_of_returned_field():
-    # energy and vi_res of the shrunk field come from gradients formed while
-    # shrinking; they equal a fresh evaluation of the returned field exactly
-    for data in (small_binding_1d(), inactive_1d()):
-        sol = solve_vi(data, VI_CFG, shrink=True)
-        assert sol.energy == energy(sol.u, data)
-        assert sol.vi_res == vi_residual(sol.u, data)
+def test_newton_max_admits_the_step_that_converges():
+    # binding_1d at eps0 from zero converges in 20 Newton steps: the residual
+    # after the last step allowed is tested too, and a budget one short
+    # fails with one history entry per step taken
+    data = binding_1d()
+    start = zero_field(data.grid)
+    u = solve_penalized(data, VI_CFG.eps0, start, replace(VI_CFG, newton_max=20))
+    assert np.array_equal(u.values, solve_penalized(data, VI_CFG.eps0, start, VI_CFG).values)
+    with pytest.raises(SolverDivergence, match="newton_max=19 exceeded") as err:
+        solve_penalized(data, VI_CFG.eps0, start, replace(VI_CFG, newton_max=19))
+    assert len(err.value.history) == 19
+
+
+def test_diverging_step_from_a_given_start_is_raised():
+    # a given nonzero init is no prediction, so when the first eps step
+    # diverges from it there is no other start to rerun it from
+    data = binding_1d()
+    init = ScalarField(data.grid, 0.5 * solve_vi(data, VI_CFG).u.values)
+    with pytest.raises(SolverDivergence, match="newton_max=1 exceeded") as err:
+        solve_vi(data, replace(VI_CFG, newton_max=1), init=init)
+    assert len(err.value.history) == 1
 
 
 def test_solve_penalized_divergence_carries_history():
@@ -1266,6 +1296,23 @@ def test_feasible_stack_rows_are_sequential_lone_samples(instance):
     assert stack_rng.random() == lone_rng.random()
     one = sample_feasible(data, np.random.default_rng(5))
     assert one.values.tobytes() == lone[0].tobytes()
+
+
+def test_samples_on_a_mask_that_is_not_a_box_are_shaped_by_its_indicator():
+    # _smooth_bump has a profile for boxes only; on two intervals the
+    # samples are shaped by the indicator, vanish off the mask and are
+    # feasible
+    grid = make_grid(1, 2.0, 128)
+    x = grid.axis()
+    inside = (np.abs(x) > 0.25) & (np.abs(x) < 1.0)
+    mask = DomainMask(grid, inside, padding_fraction=0.25)
+    assert np.array_equal(_smooth_bump(mask), inside.astype(float))
+    f = ScalarField(grid, np.where(inside, 10.0, 0.0))
+    data = ProblemData(mask, 0.5, identity_coefficients(grid), f,
+                       Threshold(scalar_field(grid, 10.0), 10.0))
+    u = sample_feasible(data, np.random.default_rng(0))
+    assert np.any(u.values) and not np.any(u.values[~inside])
+    assert feasibility_violation(u, data) == 0.0
 
 
 @pytest.mark.parametrize("instance", [binding_1d, small_binding_1d, inactive_1d,
