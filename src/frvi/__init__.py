@@ -18,7 +18,6 @@ from .fields import (
 )
 from .fracgrad import (
     FracOrder,
-    band_limited_stack,
     frac_divergence,
     frac_gradient,
     frac_laplacian,
@@ -41,7 +40,6 @@ from .vi import (
     energy,
     extract_multiplier,
     feasibility_violation,
-    feasible_stack,
     identity_coefficients,
     multiplier_equation_residual,
     penalized_residual,

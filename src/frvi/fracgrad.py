@@ -31,12 +31,8 @@ comes from one transform of an impulse, gathered at the wrapped node
 differences, since every multiplier is translation invariant on the torus.
 gram_spectrum decomposes M once per mask and keeps only two scalars.
 
-Sampled diagnostics draw and transform their random fields as the rows of
-one (count, *grid.shape) stack, transformed in stacks of at most
-max(1, STACK_NODE_LIMIT // num_nodes) rows (stack_slices); each row is
-bitwise what a lone call gives.  The one complex transform is there:
-band_limited_stack draws a full random spectrum and takes the real part
-of numpy's complex inverse transform (np.fft.ifftn).
+The only complex transform is the one in random_band_limited, the real
+part of numpy's np.fft.ifftn of a full random spectrum.
 """
 
 from __future__ import annotations
@@ -52,11 +48,6 @@ from scipy.special import zeta as sp_zeta
 from .fields import DomainMask, Grid, ScalarField, VectorField, lp_norm
 
 DENSE_UNKNOWN_LIMIT = 4096
-
-# Grid values per stacked transform of sampled fields: every 1D sample of a
-# diagnostic fits one stack, while at 64^2 a stack holds one row, because
-# taller 2D stacks cost more per row (README "Numerical notes").
-STACK_NODE_LIMIT = 2**12
 
 
 @dataclass(frozen=True)
@@ -166,23 +157,6 @@ def grad_arrays(values: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
     comp_axis = (..., None) + (slice(None),) * grid.dim
     spec = _half_table(grid, sigma) * _forward(values, grid.dim)[comp_axis]
     return _inverse(spec, grid.shape)
-
-
-def stack_slices(grid: Grid, count: int) -> list:
-    """Consecutive slices cutting `count` stacked sampled fields on grid into
-    stacks of at most max(1, STACK_NODE_LIMIT // num_nodes) rows."""
-    rows = max(1, STACK_NODE_LIMIT // grid.num_nodes)
-    return [slice(i, min(i + rows, count)) for i in range(0, count, rows)]
-
-
-def grad_stack(values: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
-    """grad_arrays of a (count, *grid.shape) stack of sampled fields, one
-    transform per stack_slices stack; row i is bitwise
-    grad_arrays(values[i], grid, sigma)."""
-    out = np.empty((len(values), grid.dim) + grid.shape)
-    for part in stack_slices(grid, len(values)):
-        out[part] = grad_arrays(values[part], grid, sigma)
-    return out
 
 
 def neg_div_arrays(w: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
@@ -399,17 +373,13 @@ def quadrature_frac_gradient(u: ScalarField, order: FracOrder | float) -> Vector
     return VectorField(grid, comps)
 
 
-def band_limited_stack(grid: Grid, rng: np.random.Generator, count: int,
-                       kmax: int | None = None,
-                       amplitude: float = 1.0) -> np.ndarray:
-    """`count` random real fields with integer modes |k_j| <= kmax and zero
-    mean, each scaled to sup norm `amplitude`, as a (count, *grid.shape)
-    stack.
+def random_band_limited(grid: Grid, rng: np.random.Generator,
+                        kmax: int | None = None, amplitude: float = 1.0) -> ScalarField:
+    """Random real field with integer modes |k_j| <= kmax and zero mean,
+    scaled to sup norm `amplitude`.
 
-    All normals come from one rng.normal(size=(count, 2, *grid.shape))
-    call, the real then the imaginary part of each row's spectrum, which
-    is the order of `count` lone draws; so row i is bitwise the i-th of
-    `count` successive random_band_limited calls.
+    The spectrum comes from one rng.normal(size=(2, *grid.shape)) call,
+    its real then its imaginary part.
     """
     n = grid.resolution
     if kmax is None:
@@ -420,20 +390,11 @@ def band_limited_stack(grid: Grid, rng: np.random.Generator, count: int,
     for _ in range(grid.dim - 1):
         keep = keep[..., None] & keep1d
     keep[(0,) * grid.dim] = False  # zero mean
-    normals = rng.normal(size=(count, 2) + grid.shape)
-    spec = normals[:, 0] + 1j * normals[:, 1]
-    np.copyto(spec, 0.0, where=~keep)
-    axes = tuple(range(1, grid.dim + 1))
-    v = np.empty((count,) + grid.shape)
-    for part in stack_slices(grid, count):
-        v[part] = np.fft.ifftn(spec[part], axes=axes).real
-    peak = np.abs(v).max(axis=axes, keepdims=True)
-    scale = np.divide(amplitude, peak, out=np.ones_like(peak), where=peak > 0)
-    return v * scale
-
-
-def random_band_limited(grid: Grid, rng: np.random.Generator,
-                        kmax: int | None = None, amplitude: float = 1.0) -> ScalarField:
-    """Random real field with integer modes |k_j| <= kmax, unit sup norm
-    scale: row 0 of a one-row band_limited_stack."""
-    return ScalarField(grid, band_limited_stack(grid, rng, 1, kmax, amplitude)[0])
+    normals = rng.normal(size=(2,) + grid.shape)
+    spec = normals[0] + 1j * normals[1]
+    spec[~keep] = 0.0
+    v = np.fft.ifftn(spec).real
+    peak = np.abs(v).max()
+    if peak > 0:
+        v = v * (amplitude / peak)
+    return ScalarField(grid, v)

@@ -387,16 +387,18 @@ def solve_qvi(problem: QVIProblem, operator: ThresholdOperator,
     eps_min, rerun cold by solve_vi when it diverges, as it can when the
     threshold moved far between outer steps.  On the Krylov path every
     later one is one penalized solve at eps_min from the previous iterate,
-    rerun from it along the whole schedule when it diverges.  The sampled
+    rerun from it along the whole schedule when it diverges, the failed
+    attempt's Newton steps added to the rerun's trace[0].  The sampled
     vi_residual runs only when a solution's vi_res is read, as that of the
     final solve, returned as `inner`, can be.
 
-    The damping d starts at 1 and is halved after three consecutive
-    non-decreasing fixed-point residuals.  On success the returned iterate
-    solves the constrained problem for the returned fixed threshold (a
-    final inner solve is run at the converged threshold); hitting outer_max
-    is reported as non-converged, which existence theory cannot distinguish
-    from cycling.
+    The damping d starts at 1 and is halved, down to 1/64, after every
+    fixed-point residual above 0.9 times the one before, so a cycle whose
+    residuals are equal up to round-off is damped too.  On success the
+    returned iterate solves the constrained problem for the returned fixed
+    threshold (a final inner solve is run at the converged threshold);
+    hitting outer_max is reported as non-converged, which existence theory
+    cannot distinguish from cycling.
     """
     if not 0.0 < outer_tol < math.inf or outer_max < 1:
         raise ValueError("invalid outer-loop controls: need a finite outer_tol > 0 "
@@ -413,12 +415,13 @@ def solve_qvi(problem: QVIProblem, operator: ThresholdOperator,
             return solve_vi(data, inner_cfg, init=u if prev is None else prev)
         try:
             return solve_vi(data, warm_cfg, init=u)
-        except SolverDivergence:
-            return solve_vi(data, inner_cfg, init=u)
+        except SolverDivergence as exc:
+            sol = solve_vi(data, inner_cfg, init=u)
+            sol.trace[0].newton_iters += len(exc.history)
+            return sol
 
     sol = None
     damping = 1.0
-    stall = 0
     prev_res = math.inf
     converged = False
     for it in range(1, outer_max + 1):
@@ -436,13 +439,8 @@ def solve_qvi(problem: QVIProblem, operator: ThresholdOperator,
         if fp_res <= outer_tol * (1.0 + norm_next):
             converged = True
             break
-        if fp_res >= prev_res:
-            stall += 1
-            if stall >= 3:
-                damping = max(damping / 2.0, 1.0 / 64.0)
-                stall = 0
-        else:
-            stall = 0
+        if fp_res > 0.9 * prev_res:
+            damping = max(damping / 2.0, 1.0 / 64.0)
         prev_res = fp_res
     # consistency solve at the converged threshold
     g_fix = operator.apply(u)

@@ -34,16 +34,14 @@ from .fracgrad import (
     DENSE_UNKNOWN_LIMIT,
     apply_symbol,
     assert_supported,
-    band_limited_stack,
     grad_arrays,
-    grad_stack,
     gradient_matrix,
     gradient_rows,
     gram_spectrum,
     hsigma_norm,
     multiplier_table,
     neg_div_arrays,
-    stack_slices,
+    random_band_limited,
 )
 
 # Penalty parameter floor: exp(1/eps^2) must stay below the largest double
@@ -356,7 +354,7 @@ class _ActiveGram:
 
     Entry (i, a; j, b) is the gradient of E T1 g_(j,b) read at node a, so a
     new node needs no old row: its rows are built, transformed by S1,
-    restricted and differentiated in stack_slices stacks of nodes."""
+    restricted and differentiated one node at a time."""
 
     def __init__(self, mask: DomainMask, sigma: float):
         grid = mask.grid
@@ -400,13 +398,13 @@ class _ActiveGram:
         gram = np.empty((grid.dim, grid.dim, len(nodes), len(nodes)))
         gram[:, :, :old, :old] = self.gram
         rows = gradient_rows(self.mask, self.sigma, new).transpose(1, 0, 2)
-        for part in stack_slices(grid, len(new)):
-            fields = np.zeros((len(rows[part]), grid.dim) + grid.shape)
-            fields[..., inside] = rows[part]
-            smoothed = apply_symbol(fields, self.symbol) * inside
-            grads = grad_arrays(smoothed, grid, self.sigma)  # [b, j, i, y]
-            read = grads.reshape(grads.shape[:3] + (-1,))[..., nodes]
-            gram[:, :, :, old + part.start:old + part.stop] = read.transpose(2, 1, 3, 0)
+        field = np.zeros((grid.dim,) + grid.shape)
+        for b, row in enumerate(rows, start=old):
+            field[:, inside] = row
+            smoothed = apply_symbol(field, self.symbol) * inside
+            grads = grad_arrays(smoothed, grid, self.sigma)  # [j, i, y]
+            read = grads.reshape(grads.shape[:2] + (-1,))[..., nodes]
+            gram[:, :, :, b] = read.transpose(1, 0, 2)
         gram[:, :, old:, :old] = gram[:, :, :old, old:].transpose(1, 0, 3, 2)
         fresh = gram[:, :, old:, old:]
         fresh[...] = 0.5 * (fresh + fresh.transpose(1, 0, 3, 2))
@@ -727,38 +725,22 @@ def _smooth_bump(mask: DomainMask) -> np.ndarray:
     return mask.inside.astype(float)
 
 
-def feasible_stack(data: ProblemData, rng: np.random.Generator, count: int,
-                   kmax: int | None = None) -> np.ndarray:
-    """`count` random members of the constraint set as the rows of a
-    (count, *grid.shape) stack: band-limited fields (band_limited_stack)
-    shaped into Omega, each scaled so that its peak |D^sigma| is 0.8 min g,
-    then shrunk by nu/(nu+eta) with eta its feasibility excess.
-
-    Row i is bitwise the i-th of `count` successive sample_feasible calls:
-    the scalings are elementwise and each row's gradient is a lone one.
-    """
-    grid = data.grid
-    axes = tuple(range(1, grid.dim + 1))
-    row = (slice(None),) + (None,) * grid.dim  # a per-row scalar over the grid
-    shaped = band_limited_stack(grid, rng, count, kmax=kmax) * _smooth_bump(data.mask)
-    if data.mask.is_full:
-        shaped = shaped - shaped.reshape(count, grid.num_nodes).mean(axis=1)[row]
-    # aim near the constraint surface so directions are informative
-    w = grad_stack(shaped, grid, data.sigma)
-    mag_max = magnitude(w.swapaxes(0, 1)).max(axis=axes)
-    aim = 0.8 * float(data.g.g.values.min())
-    shaped = shaped * np.divide(aim, mag_max, out=np.ones_like(mag_max),
-                                where=mag_max > 0)[row]
-    w = grad_stack(shaped, grid, data.sigma)
-    eta = np.maximum((magnitude(w.swapaxes(0, 1)) - data.g.g.values).max(axis=axes), 0.0)
-    return (data.g.nu / (data.g.nu + eta))[row] * shaped
-
-
 def sample_feasible(data: ProblemData, rng: np.random.Generator,
                     kmax: int | None = None) -> ScalarField:
-    """Random member of the constraint set: row 0 of a one-row
-    feasible_stack."""
-    return ScalarField(data.grid, feasible_stack(data, rng, 1, kmax)[0])
+    """Random member of the constraint set: a band-limited field
+    (random_band_limited) shaped into Omega, scaled so that its peak
+    |D^sigma| is 0.8 min g, then shrunk by nu/(nu+eta) with eta its
+    feasibility excess."""
+    grid = data.grid
+    shaped = random_band_limited(grid, rng, kmax=kmax).values * _smooth_bump(data.mask)
+    if data.mask.is_full:
+        shaped = shaped - shaped.mean()
+    # aim near the constraint surface so directions are informative
+    mag_max = float(magnitude(grad_arrays(shaped, grid, data.sigma)).max())
+    if mag_max > 0:
+        shaped = shaped * (0.8 * float(data.g.g.values.min()) / mag_max)
+    eta = _violation_of_grad(grad_arrays(shaped, grid, data.sigma), data)
+    return ScalarField(grid, data.g.nu / (data.g.nu + eta) * shaped)
 
 
 def shrink_to_feasible(u: ScalarField, data: ProblemData) -> ScalarField:
@@ -787,10 +769,8 @@ def vi_residual(u: ScalarField, data: ProblemData, trials: int = 32,
     """Minimum of <A D^sigma u, D^sigma(v-u)> - <f, v-u> over sampled
     feasible v; nonnegative (within tolerance) iff u solves the problem.
 
-    The candidates v are 0, shrink_to_feasible(u) and `trials` sampled
-    fields, the rows of one feasible_stack, evaluated per stack_slices
-    stack.  Each value is bitwise what a lone evaluation gives: the pairing
-    sums a C-contiguous row, and the source term is a dot product per row.
+    The candidates v are 0, shrink_to_feasible(u) and `trials`
+    sample_feasible fields.
     """
     rng = np.random.default_rng(seed)
     grid = data.grid
@@ -799,18 +779,14 @@ def vi_residual(u: ScalarField, data: ProblemData, trials: int = 32,
     hN = grid.cell_volume
     f = data.f.values.ravel()
 
-    def functionals(vs: np.ndarray) -> list:
-        dvs = vs - u.values
-        products = Aw * grad_stack(dvs, grid, data.sigma)
-        pairings = products.reshape(len(vs), Aw.size).sum(axis=1)
-        return [hN * float(p) - hN * float(np.dot(f, dv.ravel()))
-                for p, dv in zip(pairings, dvs)]
+    def functional(v: np.ndarray) -> float:
+        dv = v - u.values
+        pairing = float(np.sum(Aw * grad_arrays(dv, grid, data.sigma)))
+        return hN * pairing - hN * float(np.dot(f, dv.ravel()))
 
-    fixed = np.stack([np.zeros(grid.shape), _shrink_with_grad(u, data, w).values])
-    values = functionals(fixed)
-    samples = feasible_stack(data, rng, trials)
-    for part in stack_slices(grid, trials):
-        values += functionals(samples[part])
+    values = [functional(np.zeros(grid.shape)),
+              functional(_shrink_with_grad(u, data, w).values)]
+    values += [functional(sample_feasible(data, rng).values) for _ in range(trials)]
     return min(values)
 
 

@@ -14,15 +14,12 @@ from frvi.fields import (
     mask_box,
 )
 from frvi.fracgrad import (
-    STACK_NODE_LIMIT,
     FracOrder,
     apply_symbol,
-    band_limited_stack,
     frac_divergence,
     frac_gradient,
     frac_laplacian,
     grad_arrays,
-    grad_stack,
     gradient_matrix,
     gradient_rows,
     gram_matrix,
@@ -33,7 +30,6 @@ from frvi.fracgrad import (
     random_band_limited,
     riesz_constant,
     riesz_potential,
-    stack_slices,
 )
 from frvi.instances import binding_1d, binding_2d
 
@@ -432,11 +428,11 @@ def test_quadrature_rejects_large_grid():
         quadrature_frac_gradient(ScalarField(g, np.zeros(g.shape)), 0.5)
 
 
-# -- stacked sampling -----------------------------------------------------------
+# -- sampling -------------------------------------------------------------------
 
 
 def _lone_band_limited(grid, rng, kmax=None, amplitude=1.0):
-    """The sequential draw that band_limited_stack stacks: one field, two
+    """The reference draw of random_band_limited: one field, two
     rng.normal calls, one inverse transform."""
     n = grid.resolution
     if kmax is None:
@@ -459,30 +455,13 @@ def _lone_band_limited(grid, rng, kmax=None, amplitude=1.0):
 @pytest.mark.parametrize("instance", [binding_1d, binding_2d])
 @pytest.mark.parametrize("kmax, amplitude", [(None, 1.0), (3, 2.5)])
 def test_band_limited_stack_rows_are_sequential_lone_draws(instance, kmax, amplitude):
+    # successive draws, stacked, are bitwise the successive reference draws
+    # and consume the same normals
     grid = instance().grid
-    count = 2 * max(1, STACK_NODE_LIMIT // grid.num_nodes) + 3  # three stacks
-    lone_rng, stack_rng = np.random.default_rng(7), np.random.default_rng(7)
+    lone_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
     lone = np.stack([_lone_band_limited(grid, lone_rng, kmax, amplitude)
-                     for _ in range(count)])
-    stack = band_limited_stack(grid, stack_rng, count, kmax, amplitude)
-    assert stack.shape == (count,) + grid.shape
+                     for _ in range(5)])
+    stack = np.stack([random_band_limited(grid, rng, kmax, amplitude).values
+                      for _ in range(5)])
     assert stack.tobytes() == lone.tobytes()
-    assert stack_rng.random() == lone_rng.random()  # same draws consumed
-    one = random_band_limited(grid, np.random.default_rng(7), kmax, amplitude)
-    assert one.values.tobytes() == lone[0].tobytes()
-
-
-def test_stack_slices_cap_the_grid_values_per_stack():
-    one_d, two_d = binding_1d().grid, binding_2d().grid
-    bounds = [(s.start, s.stop) for s in stack_slices(one_d, 70)]
-    assert bounds == [(0, 32), (32, 64), (64, 70)]
-    assert len(stack_slices(two_d, 5)) == 5  # one row per stack at 64^2
-    assert stack_slices(one_d, 0) == []
-
-
-def test_grad_stack_rows_are_lone_gradients():
-    grid = binding_1d().grid
-    values = np.random.default_rng(3).normal(size=(40,) + grid.shape)
-    stack = grad_stack(values, grid, 0.5)
-    lone = np.stack([grad_arrays(v, grid, 0.5) for v in values])
-    assert stack.tobytes() == lone.tobytes()
+    assert rng.random() == lone_rng.random()  # same draws consumed

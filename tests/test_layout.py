@@ -3,9 +3,9 @@ Fourier transforms and the size limits live in the spectral core
 (frvi.fracgrad) only, every name the benchmark's tracer wraps still exists
 (and the oracle's and the inner solves' still do the counted work), every
 config key the CLI accepts is read, nothing reads the environment, random
-generators are made in two named places only, every module cache keyed on
-arguments is bounded, and the oracle takes only data types from the
-penalty route."""
+generators are made in two named places only and drawn from in one, every
+module cache keyed on arguments is bounded, and the oracle takes only data
+types from the penalty route."""
 
 import ast
 import importlib.util
@@ -210,6 +210,17 @@ def test_random_generators_only_where_allowed():
     offenders = [f"{name}:{line} in {owner}" for name, tree in _modules()
                  for owner, line in _calls_by_owner(tree, "default_rng")
                  if (name, owner) not in allowed]
+    assert not offenders, offenders
+
+
+def test_random_draws_only_in_random_band_limited():
+    # every sampled field starts from one draw, so a sampler's draws are
+    # those of successive random_band_limited calls
+    draws = ("normal", "random", "uniform", "integers", "standard_normal")
+    offenders = [f"{name}:{line} in {owner}" for name, tree in _modules()
+                 for callee in draws
+                 for owner, line in _calls_by_owner(tree, callee)
+                 if (name, owner) != ("fracgrad.py", "random_band_limited")]
     assert not offenders, offenders
 
 

@@ -54,7 +54,6 @@ from frvi.vi import (
     energy,
     extract_multiplier,
     feasibility_violation,
-    feasible_stack,
     identity_coefficients,
     multiplier_equation_residual,
     penalized_residual,
@@ -426,8 +425,9 @@ def test_repeated_krylov_solve_is_bit_identical_and_builds_no_gram_rows(monkeypa
 
 
 def test_solve_after_another_on_the_mask_agrees_with_a_fresh_one():
-    # entries built in the first solve's stacks move the preconditioner,
-    # so the second solve, at round-off only
+    # an entry is built with the later of its two nodes, so the entries the
+    # first solve built move the preconditioner, and the second solve, at
+    # round-off only
     data = _perturbed_binding_2d()
     frvi.vi._active_gram.cache_clear()
     fresh = solve_vi(data, VI_CFG)
@@ -1011,16 +1011,16 @@ def test_solve_vi_shrink_flag_gives_strict_feasibility():
 
 def test_solve_vi_samples_nothing_until_vi_res_is_read(monkeypatch):
     draws, diag = [0], [0]
-    real_stack, real_residual = frvi.vi.feasible_stack, frvi.vi.vi_residual
+    real_sample, real_residual = frvi.vi.sample_feasible, frvi.vi.vi_residual
 
-    def stack(data, rng, count, *args, **kwargs):
-        draws[0] += count
-        return real_stack(data, rng, count, *args, **kwargs)
+    def sample(*args, **kwargs):
+        draws[0] += 1
+        return real_sample(*args, **kwargs)
 
     def residual(*args, **kwargs):
         diag[0] += 1
         return real_residual(*args, **kwargs)
-    monkeypatch.setattr(frvi.vi, "feasible_stack", stack)
+    monkeypatch.setattr(frvi.vi, "sample_feasible", sample)
     monkeypatch.setattr(frvi.vi, "vi_residual", residual)
     data = small_binding_1d()
     sol = solve_vi(data, VI_CFG)
@@ -1255,8 +1255,8 @@ def test_vi_residual_detects_perturbed_solution(binding_solution):
 
 
 def _lone_sample_feasible(data, rng):
-    """The sequential sampler that feasible_stack stacks: one lone draw and
-    two lone gradients per field."""
+    """The reference sampler of sample_feasible: one lone draw and two lone
+    gradients per field."""
     grid = data.grid
     shaped = random_band_limited(grid, rng).values * _smooth_bump(data.mask)
     if data.mask.is_full:
@@ -1288,14 +1288,14 @@ def _lone_vi_residual(u, data, trials, seed):
 
 @pytest.mark.parametrize("instance", [binding_1d, binding_2d, _full_torus_problem])
 def test_feasible_stack_rows_are_sequential_lone_samples(instance):
+    # successive samples, stacked, are bitwise the successive reference
+    # samples and consume the same draws
     data = instance()
-    lone_rng, stack_rng = np.random.default_rng(5), np.random.default_rng(5)
+    lone_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
     lone = np.stack([_lone_sample_feasible(data, lone_rng) for _ in range(35)])
-    stack = feasible_stack(data, stack_rng, 35)
+    stack = np.stack([sample_feasible(data, rng).values for _ in range(35)])
     assert stack.tobytes() == lone.tobytes()
-    assert stack_rng.random() == lone_rng.random()
-    one = sample_feasible(data, np.random.default_rng(5))
-    assert one.values.tobytes() == lone[0].tobytes()
+    assert rng.random() == lone_rng.random()
 
 
 def test_samples_on_a_mask_that_is_not_a_box_are_shaped_by_its_indicator():
@@ -1323,14 +1323,6 @@ def test_vi_residual_equals_the_sequential_loop(instance):
     u = ScalarField(data.grid, 3.0 * sample_feasible(data, np.random.default_rng(4)).values)
     for trials, seed in [(32, 0), (64, 11), (5, 3), (0, 0)]:
         assert vi_residual(u, data, trials, seed) == _lone_vi_residual(u, data, trials, seed)
-
-
-def test_vi_residual_transforms_its_samples_as_stacks(monkeypatch):
-    data = binding_1d()
-    u = sample_feasible(data, np.random.default_rng(4))
-    calls = _count_transforms(monkeypatch)
-    vi_residual(u, data, trials=32, seed=0)
-    assert calls[0] <= 12  # about 200 as a loop over lone fields
 
 
 def test_energy_zero_field():
