@@ -6,6 +6,7 @@ contraction certificate for the separated-form operator.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -400,9 +401,10 @@ def solve_qvi(problem: QVIProblem, operator: ThresholdOperator,
     hitting outer_max is reported as non-converged, which existence theory
     cannot distinguish from cycling.
     """
-    if not 0.0 < outer_tol < math.inf or outer_max < 1:
+    if (not 0.0 < outer_tol < math.inf or isinstance(outer_max, bool)
+            or not isinstance(outer_max, numbers.Integral) or outer_max < 1):
         raise ValueError("invalid outer-loop controls: need a finite outer_tol > 0 "
-                         "and outer_max >= 1")
+                         "and an integer outer_max >= 1")
     inner_cfg = inner_cfg or PenaltyConfig()
     warm_cfg = replace(inner_cfg, eps0=inner_cfg.eps_min)
     grid = problem.mask.grid

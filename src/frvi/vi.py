@@ -57,8 +57,9 @@ NEWTON_FORCING = 1e-2
 # matrix-free Krylov path is faster (README "Numerical notes").
 DENSE_NEWTON_BUDGET = 2**23
 
-# The splitting start of a cold dense solve (_splitting_start): the relative
-# tolerance of its primal and dual residuals, and its sweep cap.
+# The splitting start of every cold solve (_splitting_start): the relative
+# tolerance of its primal and dual residuals and of its CG linear steps, and
+# its sweep cap.
 SEED_TOL = 1e-3
 SEED_SWEEPS = 50
 
@@ -306,7 +307,7 @@ def penalty_slope(s, eps: float):
 
 def penalized_residual(u: ScalarField, data: ProblemData, eps: float) -> ScalarField:
     """Strong-form residual of the penalized quasilinear problem on Omega
-    nodes (zero outside): -div^sigma[(k_eps + A) D^sigma u] - f."""
+    nodes (zero outside): -div^sigma[(a_* k_eps + A) D^sigma u] - f."""
     assert_supported(u, data.mask)
     sys = _PenalizedSystem(data, eps)
     return ScalarField(data.grid, sys.unpack(
@@ -461,9 +462,16 @@ class _PenalizedSystem:
             return self.pack(neg_div_arrays(flux, self.grid, self.data.sigma))
         return self.G.T @ flux.reshape(-1)
 
+    def penalty(self, s: np.ndarray, branch=penalty_value) -> np.ndarray:
+        """a_* branch(s, eps) at the excess s = |w| - g: the penalty k of the
+        flux (the multiplier density), or with branch=penalty_slope its
+        slope k'.  Scaled with A's lower bound a_*, so that scaling A and f
+        together leaves every iterate, and the eps schedule, unchanged."""
+        return self.A.a_star * branch(s, self.eps)
+
     def residual_of_grad(self, w: np.ndarray) -> np.ndarray:
         """Residual of the iterate whose fractional gradient is w."""
-        k = penalty_value(magnitude(w) - self.g, self.eps)
+        k = self.penalty(magnitude(w) - self.g)
         return self.neg_div(self.flux(w, k)) - self.f_inside
 
     def flux(self, dw: np.ndarray, k: np.ndarray, w: np.ndarray | None = None,
@@ -484,7 +492,7 @@ class _PenalizedSystem:
         s = mag - self.g
         safe_mag = np.where(mag > 0.0, mag, 1.0)
         # k' = 0 wherever mag could vanish (s < 0 there)
-        return penalty_value(s, self.eps), penalty_slope(s, self.eps) / safe_mag
+        return self.penalty(s), self.penalty(s, penalty_slope) / safe_mag
 
     def assemble(self, k: np.ndarray, w: np.ndarray | None = None,
                  coef: np.ndarray | None = None) -> np.ndarray:
@@ -678,7 +686,7 @@ def _backtrack(sys: _PenalizedSystem, x: np.ndarray, d: np.ndarray, step: float,
 def extract_multiplier(u_eps: ScalarField, data: ProblemData, eps: float) -> ScalarField:
     """Discrete multiplier density: the penalty coefficient of the iterate."""
     w = grad_arrays(u_eps.values, data.grid, data.sigma)
-    lam = penalty_value(magnitude(w) - data.g.g.values, eps)
+    lam = _PenalizedSystem(data, eps).penalty(magnitude(w) - data.g.g.values)
     return ScalarField(data.grid, lam)
 
 
@@ -798,11 +806,12 @@ def _trace_row(data: ProblemData, u: ScalarField, eps: float,
     w = grad_arrays(u.values, grid, data.sigma)
     mag = magnitude(w)
     excess = mag - data.g.g.values
-    k = penalty_value(excess, eps)
+    sys = _PenalizedSystem(data, eps)
+    k = sys.penalty(excess)
     hN = grid.cell_volume
     sqrt_eps = math.sqrt(eps)
     comp = abs(hN * float(np.sum(k * excess)))
-    res = _PenalizedSystem(data, eps).residual_of_grad(w)
+    res = sys.residual_of_grad(w)
     en = _energy_of_grad(u, w, data) if data.A.is_symmetric else None
     return PenaltyTraceRow(
         eps=eps,
@@ -821,49 +830,51 @@ def _trace_row(data: ProblemData, u: ScalarField, eps: float,
     ), k
 
 
-def _scaled_stages(data: ProblemData, cfg: PenaltyConfig) -> tuple:
-    """Cold-start path into the eps schedule: eps0 solves on the data scaled
-    by mu = ratio^4, then ratio^2, each from the last iterate rescaled.
-    penalty_value(mu s, eps) is the penalty of parameter eps/mu (its cap
-    moved), so stage mu solves the problem at eps0/mu, scaled by mu: the
-    schedule gains two ratio^2 steps above eps0.  Returns the start of the
-    schedule, u/mu of the last stage, and the stages' Newton steps."""
-    u = ScalarField(data.grid, np.zeros(data.grid.shape))
-    iters = 0
-    prev_mu = 1.0
-    for mu in (cfg.ratio**4, cfg.ratio**2):
-        u = ScalarField(data.grid, (mu / prev_mu) * u.values)
-        u, it = _solve_penalized_impl(data.scaled(mu), cfg.eps0, u, cfg)
-        iters += it
-        prev_mu = mu
-    return ScalarField(data.grid, u.values / prev_mu), iters
-
-
 def _splitting_start(data: ProblemData, cfg: PenaltyConfig) -> ScalarField:
     """Loose splitting (ADMM) solve of the constrained minimization of
-    1/2 <A D^sigma u, D^sigma u> - <f, u>, the start of a cold dense solve
-    whose applied coefficient is symmetric.
+    1/2 <A D^sigma u, D^sigma u> - <f, u>, the start of every cold solve.
 
     Plain sweeps from (w, y) = 0 at penalty rho = a_*, the lower bound of A,
     as in the oracle: the linear step in u with the gradient target w and
     scaled dual y fixed, the ball projection of D^sigma u + y for w, and
-    the dual ascent.  The linear step's matrix G^T (A + rho) G is
-    _PenalizedSystem.assemble(rho), positive definite because gram_spectrum
-    certified G; each sweep solves it by LU with one right-hand side, the
-    LAPACK call of the Newton path (README "Numerical notes" says why not a
-    factor or an inverse kept across sweeps).  Stops when the primal and
-    dual residuals, both in gradient units (the dual without rho), are at
-    most SEED_TOL (1 + |D^sigma u|), or after SEED_SWEEPS sweeps; either
-    way it returns the last u.  So scaling A and f together changes
-    neither the iterates nor the number of sweeps."""
+    the dual ascent.  On the dense path the linear step's matrix is
+    G^T (A + rho) G = _PenalizedSystem.assemble(rho), solved by LU with one
+    right-hand side per sweep (README "Numerical notes" says why).  It is
+    positive definite, since gram_spectrum certified G and A is monotone,
+    and nonsymmetric where A has a skew part that varies in space, where
+    the sweeps (Douglas-Rachford) converge too.  On the Krylov path the
+    linear step is CG on the one-symbol operator P S E, S = sum_ij
+    (Abar_ij + rho delta_ij) kappa_i kappa_j |kappa|^(2 sigma - 2), Abar
+    the nodewise mean of A.applied (exact for a constant A; a skew part
+    drops out): from the last sweep's u, to relative tolerance SEED_TOL,
+    with the spectral preconditioner(rho).  Stops when the primal and dual
+    residuals, both in gradient units (the dual without rho), are at most
+    SEED_TOL (1 + |D^sigma u|), or after SEED_SWEEPS sweeps; either way it
+    returns the last u, which the first eps step judges.  So scaling A and
+    f together changes neither the iterates nor the number of sweeps."""
     grid = data.grid
     hN = grid.cell_volume
     sys = _PenalizedSystem(data, cfg.eps0)
     rho = data.A.a_star
-    matrix = sys.assemble(np.full(grid.shape, rho))
+    k = np.full(grid.shape, rho)
+    if sys.G is not None:
+        matrix = sys.assemble(k)
+    else:
+        comps = np.array(multiplier_table(grid, data.sigma)[0])
+        mean, eye = sys.A.values.mean(axis=tuple(range(grid.dim))), np.eye(grid.dim)
+        c = (rho + mean) * eye if sys.A.is_scalar else rho * eye + mean
+        symbol = np.einsum("ij,i...,j...->...", c, comps, comps.conj()).real
+        op = LinearOperator((sys.m, sys.m), dtype=float, matvec=lambda v: sys.pack(
+            apply_symbol(sys.unpack(v), symbol)))
+        pre = LinearOperator((sys.m, sys.m), dtype=float, matvec=sys.preconditioner(k))
     w = y = np.zeros((grid.dim,) + grid.shape)
+    x = np.zeros(sys.m)
     for _ in range(SEED_SWEEPS):
-        x = np.linalg.solve(matrix, sys.f_inside + rho * sys.neg_div(w - y))
+        rhs = sys.f_inside + rho * sys.neg_div(w - y)
+        if sys.G is not None:
+            x = np.linalg.solve(matrix, rhs)
+        else:
+            x = cg(op, rhs, x0=x, rtol=SEED_TOL, atol=0.0, maxiter=400, M=pre)[0]
         du = sys.gradient(x)
         w_next = ball_projection(du + y, sys.g)
         y = y + du - w_next
@@ -884,19 +895,12 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
     newton_tol in the fractional Sobolev norm; the multiplier is the
     penalty coefficient at the final eps.
 
-    A cold start (init None or all zero) takes one of three paths into the
-    first eps step:
-    - on the Krylov path (see _dense_gradient), the scaled-data stages of
-      _scaled_stages, which lengthen the schedule by two eps steps above
-      eps0 and cut the Krylov iterations of the first eps step; their
-      Newton steps are counted in trace[0].newton_iters;
-    - on the dense path with a symmetric applied coefficient, the loose
-      splitting solve of _splitting_start, whose iterate lies near the
-      constrained solution that the whole schedule approaches;
-    - on the dense path with a skew part that varies in space, zero.
+    A cold solve (init None or all zero), on either path and for every A,
+    starts its first eps step from _splitting_start, whose iterate lies
+    near the constrained solution that the whole schedule approaches.
     From the third eps step on, each step starts from the secant
-    prediction u2 + (eps - eps2) / (eps2 - eps1) (u2 - u1) through the last
-    two iterates (eps1, u1) and (eps2, u2) of this call, on both paths.  A
+    prediction u2 + (eps - eps2) / (eps2 - eps1) (u2 - u1) through the
+    last two iterates (eps1, u1) and (eps2, u2) of this call.  A
     SolverDivergence from a predicted start (the splitting start or the
     secant) reruns the step from the unpredicted one (zero, or u2), and
     that step's trace row counts the Newton steps of both attempts.  Each
@@ -940,14 +944,8 @@ def _along_schedule(data: ProblemData, cfg: PenaltyConfig,
     """solve_vi's eps schedule from init: (u, trace, multiplier values)."""
     grid = data.grid
     u = init if init is not None else ScalarField(grid, np.zeros(grid.shape))
-    cold = not np.any(u.values)
-    guess = u  # the start of the next eps step
-    stage_iters = 0
-    if cold and _dense_gradient(data.mask, data.sigma) is None:
-        u, stage_iters = _scaled_stages(data, cfg)
-        guess = u
-    elif cold and data.A.applied.is_symmetric:
-        guess = _splitting_start(data, cfg)
+    # the start of the next eps step
+    guess = u if np.any(u.values) else _splitting_start(data, cfg)
     trace = []
     path = []  # (eps, iterate) of the last two eps steps
     for eps in cfg.schedule():
@@ -971,7 +969,6 @@ def _along_schedule(data: ProblemData, cfg: PenaltyConfig,
             if delta < cfg.newton_tol:
                 break
         path = path[-1:] + [(eps, u)]
-    trace[0].newton_iters += stage_iters
     return u, trace, k
 
 

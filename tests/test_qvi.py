@@ -210,8 +210,10 @@ def test_solve_qvi_constant_operator_one_step():
     assert gap <= 1e-6 * (1.0 + hsigma_norm(ref.u, base.sigma))
 
 
+# outer_max bounds a range(): 2.5 would fail there with a TypeError, True run one step
 @pytest.mark.parametrize("controls", [{"outer_tol": math.nan}, {"outer_tol": math.inf},
-                                      {"outer_tol": 0.0}, {"outer_max": 0}])
+                                      {"outer_tol": 0.0}, {"outer_max": 0},
+                                      {"outer_max": 2.5}, {"outer_max": True}])
 def test_solve_qvi_rejects_invalid_outer_controls(controls):
     inst = qvi_kernel_1d()
     with pytest.raises(ValueError, match="outer-loop controls"):

@@ -43,7 +43,7 @@ from frvi.instances import (
     small_binding_1d,
 )
 from frvi.oracle import oracle_solve_vi
-from frvi.qvi import solve_qvi
+from frvi.qvi import ConstantGamma, QVIProblem, SeparatedOperator, solve_qvi
 from frvi.vi import (
     EPS_FLOOR,
     EllipticCoefficients,
@@ -492,12 +492,22 @@ def test_nonsymmetric_2d_runs_cg_only(monkeypatch):
 
 
 def test_variable_skew_runs_bicgstab_within_acceptance_bounds(monkeypatch):
+    # the Newton systems run BiCGSTAB; CG runs only in the linear steps of
+    # the splitting start, on its symmetric one-symbol operator
     data = _variable_skew_box_32()
     calls = _count_krylov(monkeypatch)
     iterations = _count_krylov_iterations(monkeypatch)
+    start, in_start = frvi.vi._splitting_start, []
+
+    def counted(d, cfg):
+        before = calls["cg"]
+        u = start(d, cfg)
+        in_start.append(calls["cg"] - before)
+        return u
+    monkeypatch.setattr(frvi.vi, "_splitting_start", counted)
     sol = solve_vi(data, VI_CFG)
     assert calls["bicgstab"] > 0
-    assert calls["cg"] == 0
+    assert len(in_start) == 1 and calls["cg"] == in_start[0] > 0
     # 287 iterations with the spectral preconditioner alone
     assert iterations["bicgstab"] <= 80
     assert sol.energy is None
@@ -518,8 +528,8 @@ def _assert_acceptance_06_07(sol, data):
 
 
 def test_binding_2d_first_continuation_step_newton_count():
-    # the energy step test accepts long steps from the cold start u = 0
-    # (46 Newton steps with the residual test alone)
+    # 6 from the splitting start; 21 through the data-scale stages it
+    # replaced, and 46 from u = 0 without the energy step test
     sol = solve_vi(binding_2d(), VI_CFG)
     assert sol.trace[0].newton_iters <= 30
 
@@ -541,7 +551,22 @@ def test_perturbed_binding_2d_converges_within_acceptance_bounds():
     _assert_acceptance_06_07(sol, data)
 
 
-# -- scaled-data stages of a cold Krylov solve ---------------------------------
+def test_space_dependent_scalar_a_on_the_krylov_path_within_acceptance_bounds():
+    # the Krylov splitting start's linear step applies the mean of A,
+    # exact only for a constant A
+    grid = make_grid(2, 2.0, 64)
+    mask = mask_box(grid, 1.0)
+    A = EllipticCoefficients(grid, 1.5 + 0.5 * np.cos(0.5 * np.pi * grid.coordinates()[0]),
+                             a_star=1.0, a_upper=2.0)
+    data = ProblemData(mask, 0.4, A, ScalarField(grid, np.where(mask.inside, 300.0, 0.0)),
+                       Threshold(scalar_field(grid, 150.0), 150.0))
+    assert not frvi.vi.continues(data)
+    sol = solve_vi(data, VI_CFG)
+    assert sol.multiplier.values.max() > 0.0
+    _assert_acceptance_06_07(sol, data)
+
+
+# -- cold Krylov solves ---------------------------------------------------------
 
 
 def _record_penalized_solves(monkeypatch):
@@ -581,24 +606,11 @@ def _count_transforms(monkeypatch):
     return calls
 
 
-def test_cold_krylov_solve_runs_two_scaled_eps0_stages(monkeypatch):
-    data = binding_2d()
-    calls = _record_penalized_solves(monkeypatch)
-    sol = solve_vi(data, VI_CFG)
-    f_sup, eps0, ratio = 200.0, VI_CFG.eps0, VI_CFG.ratio
-    stages = [(eps, f) for eps, f, _ in calls[:2]]
-    assert stages == [(eps0, pytest.approx(ratio**4 * f_sup)),
-                      (eps0, pytest.approx(ratio**2 * f_sup))]
-    assert [(eps, f) for eps, f, _ in calls[2:]] == [(row.eps, f_sup) for row in sol.trace]
-    # the stages' Newton steps are counted in the first eps step
-    assert sol.trace[0].newton_iters == sum(iters for *_, iters in calls[:3])
-    assert [row.newton_iters for row in sol.trace[1:]] == [iters for *_, iters in calls[3:]]
-
-
 def test_cold_binding_2d_cg_iterations_bounded(monkeypatch):
     # 975 CG iterations when the cold start solves at eps0 on the data
-    # itself, 595 through the two scaled stages, 97 with the stiff active
-    # nodes corrected in the preconditioner
+    # itself, 595 through two data-scale stages, 82 with the stiff active
+    # nodes corrected in the preconditioner, and 100 from the splitting
+    # start, its linear steps included
     counts = _count_krylov_iterations(monkeypatch)
     solve_vi(binding_2d(), VI_CFG)
     assert counts["bicgstab"] == 0
@@ -628,19 +640,6 @@ def test_no_stages_on_the_dense_path_or_from_a_nonzero_start(monkeypatch):
     assert sol.trace[0].newton_iters == calls[0][2]
 
 
-def test_only_the_cold_first_qvi_inner_solve_runs_stages(monkeypatch):
-    # every problem takes the Krylov path with a zero dense budget
-    monkeypatch.setattr(frvi.vi, "DENSE_NEWTON_BUDGET", 0)
-    counts = _count_krylov_iterations(monkeypatch)
-    calls = _record_penalized_solves(monkeypatch)
-    inst = qvi_kernel_1d()
-    sol = solve_qvi(inst.problem, inst.operator, QVI_INNER_CFG, outer_tol=QVI_OUTER_TOL)
-    assert sol.converged and sol.iterations >= 2 and counts["cg"] > 0
-    f_sup = float(np.abs(inst.problem.f.values).max())
-    scaled = [i for i, (_, f, _) in enumerate(calls) if f != f_sup]
-    assert scaled == [0, 1]  # the stages of the cold first solve only
-
-
 # -- predicted starts: the splitting start and the secant start ---------------
 
 
@@ -656,7 +655,7 @@ def _variable_skew_binding_16():
     grid = make_grid(2, 2.0, 16)
     mask = mask_box(grid, 1.0)
     skew = 0.3 * np.cos(0.5 * np.pi * grid.coordinates()[0])
-    f = ScalarField(grid, np.where(mask.inside, 200.0, 0.0))
+    f = ScalarField(grid, np.where(mask.inside, 400.0, 0.0))
     return ProblemData(mask, 0.4, _skew_coefficients(grid, skew), f,
                        Threshold(scalar_field(grid, 187.0), 187.0))
 
@@ -695,17 +694,21 @@ def test_binding_1d_first_eps_step_starts_near_the_solution():
     assert sol.trace[0].newton_iters <= 5
 
 
+def _scaled_a_and_f(base, c):
+    """base with A and f scaled by c."""
+    A = EllipticCoefficients(base.grid, c * base.A.values, a_star=c * base.A.a_star,
+                             a_upper=c * base.A.a_upper)
+    return ProblemData(base.mask, base.sigma, A, ScalarField(base.grid, c * base.f.values),
+                       base.g)
+
+
 @pytest.mark.parametrize("scale", [0.01, 100.0])
 def test_splitting_start_runs_at_the_scale_of_a(monkeypatch, scale):
     # at rho = 1 the sweeps hit SEED_SWEEPS at both scales, and the first
-    # eps step took 31 and 12 Newton steps.  At c = 100 the penalty at eps0
-    # is weak against A, so even the constrained solution is a poor start
-    # (12 steps): the splitting start need only match it there
-    base = binding_1d()
-    A = EllipticCoefficients(base.grid, scale * base.A.values, a_star=scale * base.A.a_star,
-                             a_upper=scale * base.A.a_upper)
-    data = ProblemData(base.mask, base.sigma, A,
-                       ScalarField(base.grid, scale * base.f.values), base.g)
+    # eps step took 31 and 12 Newton steps.  Before the penalty was scaled
+    # with a_*, even the constrained solution was a poor start at c = 100
+    # (12 steps): the splitting start need only match it
+    data = _scaled_a_and_f(binding_1d(), scale)
     _, exact_iters = frvi.vi._solve_penalized_impl(
         data, VI_CFG.eps0, oracle_solve_vi(data, tol=1e-9), VI_CFG)
     sweeps = [0]
@@ -720,25 +723,50 @@ def test_splitting_start_runs_at_the_scale_of_a(monkeypatch, scale):
     assert sol.trace[0].newton_iters <= max(5, exact_iters)
 
 
-@pytest.mark.parametrize("case", ["krylov", "nonzero-init", "variable-skew"])
-def test_no_splitting_start_off_the_symmetric_cold_dense_path(monkeypatch, case):
+def _qvi_box_32():
+    """A QVI on binding_2d's data at 32^2, whose solves take the Krylov
+    path, with the constant threshold 187."""
+    grid = make_grid(2, 2.0, 32)
+    mask = mask_box(grid, 1.0)
+    problem = QVIProblem(mask, 0.4, identity_coefficients(grid), ScalarField(
+        grid, np.where(mask.inside, 200.0, 0.0)))
+    return problem, SeparatedOperator(scalar_field(grid, 187.0), ConstantGamma(1.0))
+
+
+@pytest.mark.parametrize("case", [
+    "binding_1d", "binding_2d", "variable-skew", "qvi-krylov", "nonzero-init"])
+def test_every_cold_solve_runs_one_splitting_start(monkeypatch, case):
+    # on both paths and for every A; the penalized solves that follow are
+    # the eps steps on the data itself
+    seeds = _count_seeds(monkeypatch)
+    if case == "qvi-krylov":
+        problem, operator = _qvi_box_32()
+        sol = solve_qvi(problem, operator, QVI_INNER_CFG, outer_tol=QVI_OUTER_TOL)
+        assert sol.converged and sol.iterations >= 2  # later inner solves start warm
+        assert len(seeds) == 1 and not frvi.vi.continues(seeds[0])
+        return
+    calls = _record_penalized_solves(monkeypatch)
     data, init = binding_1d(), None
-    if case == "krylov":
-        monkeypatch.setattr(frvi.vi, "DENSE_NEWTON_BUDGET", 0)
-    elif case == "nonzero-init":
-        init = sample_feasible(data, np.random.default_rng(0))
-    else:
+    if case == "binding_2d":
+        data = binding_2d()
+    elif case == "variable-skew":
         data = _variable_skew_binding_16()
         assert _PenalizedSystem(data, 0.5).G is not None
         assert not data.A.applied.is_symmetric
-    seeds = _count_seeds(monkeypatch)
+    elif case == "nonzero-init":
+        init = sample_feasible(data, np.random.default_rng(0))
     sol = solve_vi(data, VI_CFG, init=init)
-    assert seeds == []
+    assert len(seeds) == (init is None)
+    f_sup = float(np.abs(data.f.values).max())
+    assert [(eps, f) for eps, f, _ in calls] == [(row.eps, f_sup) for row in sol.trace]
+    assert [iters for *_, iters in calls] == [row.newton_iters for row in sol.trace]
+    assert sol.multiplier.values.max() > 0.0  # each instance binds
     assert sol.feas_violation <= 1e-3 * data.g.nu
 
 
-@pytest.mark.parametrize("path, step", [("dense", 0), ("dense", 2), ("krylov", 2)],
-                         ids=["dense-splitting", "dense-secant", "krylov-secant"])
+@pytest.mark.parametrize("path, step", [("dense", 0), ("dense", 2), ("krylov", 0), ("krylov", 2)],
+                         ids=["dense-splitting", "dense-secant", "krylov-splitting",
+                              "krylov-secant"])
 def test_divergence_from_a_predicted_start_reruns_the_step(monkeypatch, path, step):
     # a predicted start that diverges is dropped for the unpredicted one:
     # zero for the splitting start, the previous iterate for the secant
@@ -746,7 +774,7 @@ def test_divergence_from_a_predicted_start_reruns_the_step(monkeypatch, path, st
         monkeypatch.setattr(frvi.vi, "DENSE_NEWTON_BUDGET", 0)
     data = binding_1d()
     target = VI_CFG.schedule()[step]
-    calls = []  # (eps, start, iterate, Newton steps) on the unscaled data
+    calls = []  # (eps, start, iterate, Newton steps) of the eps steps
     impl = frvi.vi._solve_penalized_impl
 
     def forced(d, eps, init, cfg):
@@ -772,8 +800,8 @@ def test_divergence_from_a_predicted_start_reruns_the_step(monkeypatch, path, st
 @pytest.mark.parametrize("scale", [0.01, 100.0])
 def test_splitting_start_sweeps_do_not_depend_on_the_scale_of_a(monkeypatch, scale):
     # both residuals are compared in gradient units: with the dual one
-    # carrying rho = a_*, the scaled starts ran 10 and 18 sweeps against 12
-    base = binding_1d()
+    # carrying rho = a_*, binding_1d's scaled starts ran 10 and 18 sweeps
+    # against 12.  binding_2d's start takes the Krylov path's CG steps
     sweeps = []
     project = frvi.vi.ball_projection
 
@@ -781,13 +809,21 @@ def test_splitting_start_sweeps_do_not_depend_on_the_scale_of_a(monkeypatch, sca
         sweeps[-1] += 1
         return project(*args)
     monkeypatch.setattr(frvi.vi, "ball_projection", counted)
-    for c in (1.0, scale):
-        A = EllipticCoefficients(base.grid, c * base.A.values, a_star=c * base.A.a_star,
-                                 a_upper=c * base.A.a_upper)
-        sweeps.append(0)
-        frvi.vi._splitting_start(ProblemData(base.mask, base.sigma, A, ScalarField(
-            base.grid, c * base.f.values), base.g), VI_CFG)
-    assert sweeps[0] == sweeps[1] < frvi.vi.SEED_SWEEPS
+    for base in (binding_1d(), binding_2d()):
+        for c in (1.0, scale):
+            sweeps.append(0)
+            frvi.vi._splitting_start(_scaled_a_and_f(base, c), VI_CFG)
+        assert sweeps[-2] == sweeps[-1] < frvi.vi.SEED_SWEEPS
+
+
+@pytest.mark.parametrize("instance", [binding_1d, binding_2d])
+def test_newton_steps_do_not_depend_on_the_scale_of_a_and_f(instance):
+    # the penalty is a_* k_eps: with k_eps alone, c = 100 took
+    # [10, 6, 2, 2, 2, 2] Newton steps on binding_1d and [29, 14, 8, 2, 2, 2]
+    # on binding_2d, against [3, 3, 1, 1, 1, 1] and [6, 4, 1, 1, 1, 1]
+    steps = [[row.newton_iters for row in solve_vi(_scaled_a_and_f(instance(), c), VI_CFG).trace]
+             for c in (0.01, 1.0, 100.0)]
+    assert steps[0] == steps[1] == steps[2]
 
 
 # -- continuing the solution of a nearby problem -------------------------------
