@@ -734,7 +734,8 @@ def _qvi_box_32():
 
 
 @pytest.mark.parametrize("case", [
-    "binding_1d", "binding_2d", "variable-skew", "qvi-krylov", "nonzero-init"])
+    "binding_1d", "binding_1d-krylov", "binding_2d", "variable-skew", "qvi-krylov",
+    "nonzero-init"])
 def test_every_cold_solve_runs_one_splitting_start(monkeypatch, case):
     # on both paths and for every A; the penalized solves that follow are
     # the eps steps on the data itself
@@ -747,7 +748,9 @@ def test_every_cold_solve_runs_one_splitting_start(monkeypatch, case):
         return
     calls = _record_penalized_solves(monkeypatch)
     data, init = binding_1d(), None
-    if case == "binding_2d":
+    if case == "binding_1d-krylov":
+        monkeypatch.setattr(frvi.vi, "DENSE_NEWTON_BUDGET", 0)
+    elif case == "binding_2d":
         data = binding_2d()
     elif case == "variable-skew":
         data = _variable_skew_binding_16()
