@@ -17,7 +17,6 @@ from .fields import (
     zero_field,
 )
 from .fracgrad import (
-    FracOrder,
     frac_divergence,
     frac_gradient,
     frac_laplacian,

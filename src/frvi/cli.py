@@ -60,7 +60,7 @@ from .vi import (
     identity_coefficients,
     solve_vi,
 )
-from .fracgrad import FracOrder, hsigma_norm, random_band_limited
+from .fracgrad import check_sigma, hsigma_norm, random_band_limited
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -411,8 +411,8 @@ def run(config_path: str, subcommand: str, out_dir: str | None = None,
 
 
 def _dispatch(subcommand, cfg, base_dir, out, seed, log, artifacts) -> int:
+    data, pen = _problem_from_config(cfg, base_dir)
     if subcommand == "solve-vi":
-        data, pen = _problem_from_config(cfg, base_dir)
         sol = solve_vi(data, pen)
         write_fvf(out / "u.fvf", sol.u)
         write_fvf(out / "lambda.fvf", sol.multiplier)
@@ -425,7 +425,6 @@ def _dispatch(subcommand, cfg, base_dir, out, seed, log, artifacts) -> int:
         return EXIT_OK
 
     if subcommand == "solve-qvi":
-        data, pen = _problem_from_config(cfg, base_dir)
         operator = _operator_from_config(cfg, data)
         problem = QVIProblem(data.mask, data.sigma, data.A, data.f)
         sol = solve_qvi(problem, operator, pen, **_set_only({
@@ -450,17 +449,14 @@ def _dispatch(subcommand, cfg, base_dir, out, seed, log, artifacts) -> int:
         return EXIT_OK
 
     if subcommand == "penalty-sweep":
-        data, pen = _problem_from_config(cfg, base_dir)
         return _write_study(penalty_trace_study(data, pen), out, log, artifacts)
 
     if subcommand == "study-lipschitz":
-        data, pen = _problem_from_config(cfg, base_dir)
         deltas = _get_list(cfg, "study-lipschitz", "deltas",
                            lambda t: ScalarField(data.grid, _finite_float(t) * data.f.values))
         return _write_study(lipschitz_study_f(data, deltas, pen), out, log, artifacts)
 
     if subcommand == "study-holder":
-        data, pen = _problem_from_config(cfg, base_dir)
         ts = _get_list(cfg, "study-holder", "t_values", _nonnegative_float)
         h = _field_from_spec(_get(cfg, "study-holder", "h", str), data.grid,
                              data.mask, base_dir)
@@ -468,9 +464,7 @@ def _dispatch(subcommand, cfg, base_dir, out, seed, log, artifacts) -> int:
         return _write_study(holder_study_g(data, ts, h, pen), out, log, artifacts)
 
     if subcommand == "study-sigma-limit":
-        data, _ = _problem_from_config(cfg, base_dir)
-        sigmas = _get_list(cfg, "study-sigma-limit", "sigmas",
-                           lambda s: FracOrder(float(s)).sigma)
+        sigmas = _get_list(cfg, "study-sigma-limit", "sigmas", check_sigma)
         kmax = _get(cfg, "study-sigma-limit", "kmax", _positive_int, 2)
         rng = np.random.default_rng(seed)
         u = random_band_limited(data.grid, rng, kmax=kmax)
@@ -478,14 +472,12 @@ def _dispatch(subcommand, cfg, base_dir, out, seed, log, artifacts) -> int:
         return _write_study(sigma_limit_study(u, sigmas), out, log, artifacts)
 
     if subcommand == "study-mosco":
-        data, pen = _problem_from_config(cfg, base_dir)
         ns = _get_list(cfg, "study-mosco", "factors", _positive_int)
         gs = [Threshold(ScalarField(data.grid, data.g.g.values * (1.0 + 1.0 / n)),
                         data.g.nu) for n in ns]
         return _write_study(mosco_diagnostic(data, gs, pen), out, log, artifacts)
 
     if subcommand == "certificate":
-        data, _ = _problem_from_config(cfg, base_dir)
         operator = _operator_from_config(cfg, data)
         if not isinstance(operator, SeparatedOperator):
             raise ConfigError("certificate requires the separated variant")
@@ -496,7 +488,6 @@ def _dispatch(subcommand, cfg, base_dir, out, seed, log, artifacts) -> int:
         return EXIT_OK
 
     if subcommand == "oracle-check":
-        data, pen = _problem_from_config(cfg, base_dir)
         # the oracle's refusal is a config error, reported before the solve
         _built_from_config(check_oracle_input)(data)
         sol = solve_vi(data, pen)

@@ -18,7 +18,7 @@ other half is redundant.  A stacked (N, *grid.shape) array goes through
 one transform call, not one per component, and so does a batch of
 fields stacked along leading axes.
 
-Multiplier tables are immutable and cached per (grid, order), the half
+Multiplier tables are immutable and cached per (grid, sigma), the half
 tables beside the full ones; transforms are pure with per-call
 workspaces, safe to run concurrently.
 
@@ -38,7 +38,6 @@ part of numpy's np.fft.ifftn of a full random spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -50,21 +49,13 @@ from .fields import DomainMask, Grid, ScalarField, VectorField, lp_norm
 DENSE_UNKNOWN_LIMIT = 4096
 
 
-@dataclass(frozen=True)
-class FracOrder:
-    """Order of the fractional gradient; sigma = 1 is the classical limit."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not 0.0 < self.sigma <= 1.0:
-            raise ValueError(f"sigma must lie in (0, 1], got {self.sigma}")
-
-
-def as_sigma(order: "FracOrder | float") -> float:
-    if isinstance(order, FracOrder):
-        return order.sigma
-    return FracOrder(float(order)).sigma
+def check_sigma(sigma: float) -> float:
+    """sigma as a float, checked to lie in (0, 1]; sigma = 1 is the
+    classical gradient."""
+    sigma = float(sigma)
+    if not 0.0 < sigma <= 1.0:
+        raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
+    return sigma
 
 
 def riesz_constant(dim: int, alpha: float) -> float:
@@ -181,19 +172,19 @@ def riesz_potential(u: ScalarField, alpha: float) -> ScalarField:
     return ScalarField(u.grid, apply_symbol(u.values, mult))
 
 
-def frac_gradient(u: ScalarField, order: FracOrder | float) -> VectorField:
+def frac_gradient(u: ScalarField, sigma: float) -> VectorField:
     """Fractional gradient of order sigma (classical spectral gradient at 1)."""
-    return VectorField(u.grid, tuple(grad_arrays(u.values, u.grid, as_sigma(order))))
+    return VectorField(u.grid, tuple(grad_arrays(u.values, u.grid, check_sigma(sigma))))
 
 
-def frac_divergence(w: VectorField, order: FracOrder | float) -> ScalarField:
+def frac_divergence(w: VectorField, sigma: float) -> ScalarField:
     """Fractional divergence, the negative adjoint of the fractional gradient."""
-    return ScalarField(w.grid, -neg_div_arrays(w.components, w.grid, as_sigma(order)))
+    return ScalarField(w.grid, -neg_div_arrays(w.components, w.grid, check_sigma(sigma)))
 
 
-def frac_laplacian(u: ScalarField, order: FracOrder | float) -> ScalarField:
+def frac_laplacian(u: ScalarField, sigma: float) -> ScalarField:
     """Fractional Laplacian, symbol |kappa|^(2 sigma)."""
-    _, mag_sigma = multiplier_table(u.grid, as_sigma(order))
+    _, mag_sigma = multiplier_table(u.grid, check_sigma(sigma))
     return ScalarField(u.grid, apply_symbol(u.values, mag_sigma**2))
 
 
@@ -231,7 +222,7 @@ def gram_matrix(mask: DomainMask, sigma: float) -> np.ndarray:
     """
     check_dense_limit(mask)
     grid = mask.grid
-    _, mag_sigma = multiplier_table(grid, as_sigma(sigma))
+    _, mag_sigma = multiplier_table(grid, check_sigma(sigma))
     kernel = apply_symbol(_impulse(grid), mag_sigma**2)
     coords = np.argwhere(mask.inside)
     return _difference_gather(kernel, coords, coords, grid.resolution)
@@ -254,7 +245,7 @@ def gradient_rows(mask: DomainMask, sigma: float, nodes: np.ndarray) -> np.ndarr
     if entries > DENSE_UNKNOWN_LIMIT**2:
         raise ValueError(f"too many entries for a dense gradient "
                          f"({entries}, limit {DENSE_UNKNOWN_LIMIT**2})")
-    kernel = grad_arrays(_impulse(grid), grid, as_sigma(sigma))
+    kernel = grad_arrays(_impulse(grid), grid, check_sigma(sigma))
     coords = np.column_stack(np.unravel_index(nodes, grid.shape))
     return _difference_gather(kernel, coords, np.argwhere(mask.inside), grid.resolution)
 
@@ -302,8 +293,7 @@ def assert_supported(u: ScalarField, mask: DomainMask, tol: float = 1e-14) -> No
                 f"field is nonzero outside the domain (max {worst:.3e})")
 
 
-def hsigma_norm(u: ScalarField, order: FracOrder | float,
-                mask: DomainMask | None = None) -> float:
+def hsigma_norm(u: ScalarField, sigma: float, mask: DomainMask | None = None) -> float:
     """Homogeneous fractional Sobolev norm: L^2 norm of the fractional
     gradient over the whole torus (the discrete R^N integral).
 
@@ -311,10 +301,10 @@ def hsigma_norm(u: ScalarField, order: FracOrder | float,
     """
     if mask is not None:
         assert_supported(u, mask)
-    return lp_norm(frac_gradient(u, order), 2.0)
+    return lp_norm(frac_gradient(u, sigma), 2.0)
 
 
-def quadrature_frac_gradient(u: ScalarField, order: FracOrder | float) -> VectorField:
+def quadrature_frac_gradient(u: ScalarField, sigma: float) -> VectorField:
     """Dense singular-integral fractional gradient (cross-check oracle).
 
     Evaluates the principal-value pair sum with kernel
@@ -334,7 +324,7 @@ def quadrature_frac_gradient(u: ScalarField, order: FracOrder | float) -> Vector
     vanishing near the border.  Dense O(M^2) cost, so limited to
     DENSE_UNKNOWN_LIMIT grid nodes.
     """
-    sigma = as_sigma(order)
+    sigma = check_sigma(sigma)
     grid = u.grid
     if grid.num_nodes > DENSE_UNKNOWN_LIMIT:
         raise ValueError(f"grid too large for dense quadrature ({grid.num_nodes} "

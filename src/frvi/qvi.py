@@ -108,10 +108,7 @@ class ThresholdOperator:
     nu_out: float
 
     def apply(self, u: ScalarField) -> Threshold:
-        g = self._evaluate(u)
-        if float(g.min()) < self.nu_out - 1e-12 * self.nu_out:
-            raise ValueError("threshold operator output dips below its floor")
-        return Threshold(ScalarField(u.grid, g), self.nu_out)
+        return Threshold(ScalarField(u.grid, self._evaluate(u)), self.nu_out)
 
     def _evaluate(self, u: ScalarField) -> np.ndarray:
         raise NotImplementedError

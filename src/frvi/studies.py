@@ -42,7 +42,6 @@ class StudyReport:
     rows: list
     checks: list = field(default_factory=list)
     constants: dict = field(default_factory=dict)
-    notes: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -156,8 +155,7 @@ def holder_study_g(base: ProblemData, t_values: list, h_direction: ScalarField,
         columns=["t", "du_hsigma", "rho", "status"],
         rows=rows, checks=checks,
         constants={"C_nu": c_nu, "C_inf": c_inf, "nu": base.g.nu,
-                   "f_l1": f_l1},
-        notes={"observed_exponent": exponent})
+                   "f_l1": f_l1, "observed_exponent": exponent})
 
 
 def sigma_limit_study(u_ref: ScalarField, sigmas: list) -> StudyReport:

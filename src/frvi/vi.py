@@ -34,6 +34,7 @@ from .fracgrad import (
     DENSE_UNKNOWN_LIMIT,
     apply_symbol,
     assert_supported,
+    check_sigma,
     grad_arrays,
     gradient_matrix,
     gradient_rows,
@@ -174,7 +175,7 @@ class Threshold:
         if not 0.0 < self.nu < math.inf:
             raise ValueError("threshold lower bound violated: nu must be finite and > 0")
         if float(self.g.values.min()) < self.nu - 1e-12 * self.nu:
-            raise ValueError("threshold dips below its declared lower bound")
+            raise ValueError("threshold dips below its declared floor nu")
 
     def scaled(self, factor: float) -> "Threshold":
         return Threshold(ScalarField(self.g.grid, factor * self.g.values),
@@ -197,8 +198,7 @@ class ProblemData:
         for obj, name in ((self.A.grid, "A"), (self.f.grid, "f"), (self.g.g.grid, "g")):
             if obj != grid:
                 raise ValueError(f"{name} lives on a different grid")
-        if not 0.0 < self.sigma <= 1.0:
-            raise ValueError("sigma must lie in (0, 1]")
+        object.__setattr__(self, "sigma", check_sigma(self.sigma))
         assert_supported(self.f, self.mask)
 
     @property
@@ -733,14 +733,13 @@ def _smooth_bump(mask: DomainMask) -> np.ndarray:
     return mask.inside.astype(float)
 
 
-def sample_feasible(data: ProblemData, rng: np.random.Generator,
-                    kmax: int | None = None) -> ScalarField:
+def sample_feasible(data: ProblemData, rng: np.random.Generator) -> ScalarField:
     """Random member of the constraint set: a band-limited field
     (random_band_limited) shaped into Omega, scaled so that its peak
     |D^sigma| is 0.8 min g, then shrunk by nu/(nu+eta) with eta its
     feasibility excess."""
     grid = data.grid
-    shaped = random_band_limited(grid, rng, kmax=kmax).values * _smooth_bump(data.mask)
+    shaped = random_band_limited(grid, rng).values * _smooth_bump(data.mask)
     if data.mask.is_full:
         shaped = shaped - shaped.mean()
     # aim near the constraint surface so directions are informative
@@ -909,11 +908,11 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
     mask may differ from a first one at round-off, in the preconditioner.
 
     An init that is the VISolution `prev` of a nearby problem (same mask,
-    sigma and A, else ValueError) is continued where continues(data): from
-    the tangent predictor of _continued, one penalized solve at eps_min
-    with newton_max at most CONTINUED_NEWTON_MAX gives one trace row.  If
-    it diverges, or where not continues(data), the cold solve runs, a
-    failed attempt's Newton steps added to its trace[0].
+    sigma and A, else ValueError) is continued where continues(data): the
+    one-step schedule eps0 = eps_min, with newton_max at most
+    CONTINUED_NEWTON_MAX, runs from the tangent predictor of _continued and
+    gives one trace row.  If it diverges, or where not continues(data), the
+    cold solve runs, a failed attempt's Newton steps added to its trace[0].
 
     Every summary field of the returned VISolution is that of the last
     trace row.  Feasibility is only reached asymptotically along the
@@ -941,7 +940,8 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
 
 def _along_schedule(data: ProblemData, cfg: PenaltyConfig,
                     init: ScalarField | None) -> tuple:
-    """solve_vi's eps schedule from init: (u, trace, multiplier values)."""
+    """solve_vi's eps schedule from init, the one place an eps step is
+    solved and recorded: (u, trace, multiplier values)."""
     grid = data.grid
     u = init if init is not None else ScalarField(grid, np.zeros(grid.shape))
     # the start of the next eps step
@@ -974,10 +974,13 @@ def _along_schedule(data: ProblemData, cfg: PenaltyConfig,
 
 def _continued(data: ProblemData, cfg: PenaltyConfig, prev: VISolution) -> tuple:
     """solve_vi from the solution prev of a nearby problem: (u, trace,
-    multiplier values).  It starts from prev.u + d, d solving prev's Newton
-    system at prev.u for the change of the residual with the data: f - f_prev
-    on Omega plus P(-div^sigma)[k'(s) (g - g_prev) D^sigma u_prev], k' the
-    penalty slope."""
+    multiplier values).  A one-step schedule, eps0 = eps_min, run by
+    _along_schedule with newton_max at most CONTINUED_NEWTON_MAX from
+    prev.u + d, d solving prev's Newton system at prev.u for the change of
+    the residual with the data: f - f_prev on Omega plus
+    P(-div^sigma)[k'(s) (g - g_prev) D^sigma u_prev], k' the penalty slope.
+    If it diverges, the cold schedule runs, the failed attempt's Newton
+    steps added to its trace[0]."""
     old = prev.data
     if (old.mask != data.mask or old.sigma != data.sigma
             or not np.array_equal(old.A.values, data.A.values)):
@@ -993,14 +996,13 @@ def _continued(data: ProblemData, cfg: PenaltyConfig, prev: VISolution) -> tuple
     d, _ = sys.solve(rhs, k, w, coef)
     start = ScalarField(data.grid, sys.unpack(x + d))
     try:
-        u, iters = _solve_penalized_impl(data, cfg.eps_min, start, replace(
-            cfg, newton_max=min(cfg.newton_max, CONTINUED_NEWTON_MAX)))
+        return _along_schedule(data, replace(
+            cfg, eps0=cfg.eps_min, newton_max=min(cfg.newton_max, CONTINUED_NEWTON_MAX)),
+            start)
     except SolverDivergence as exc:
         u, trace, k = _along_schedule(data, cfg, None)
         trace[0].newton_iters += len(exc.history)
         return u, trace, k
-    row, k = _trace_row(data, u, cfg.eps_min, iters)
-    return u, [row], k
 
 
 def multiplier_equation_residual(sol: VISolution, data: ProblemData) -> float:

@@ -14,8 +14,8 @@ from frvi.fields import (
     mask_box,
 )
 from frvi.fracgrad import (
-    FracOrder,
     apply_symbol,
+    check_sigma,
     frac_divergence,
     frac_gradient,
     frac_laplacian,
@@ -39,11 +39,11 @@ def mode_grid(n=64):
 
 
 def test_frac_order_range():
-    FracOrder(0.5)
-    FracOrder(1.0)
+    assert check_sigma(0.5) == 0.5
+    assert check_sigma(1.0) == 1.0
     for bad in (0.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            FracOrder(bad)
+        with pytest.raises(ValueError, match=r"sigma must lie in \(0, 1\]"):
+            check_sigma(bad)
 
 
 def test_riesz_constant_value():

@@ -3,9 +3,10 @@ Fourier transforms and the size limits live in the spectral core
 (frvi.fracgrad) only, every name the benchmark's tracer wraps still exists
 (and the oracle's and the inner solves' still do the counted work), every
 config key the CLI accepts is read, nothing reads the environment, random
-generators are made in two named places only and drawn from in one, every
-module cache keyed on arguments is bounded, and the oracle takes only data
-types from the penalty route."""
+generators are made in two named places only and drawn from in one, one
+function solves and records an eps step, every module cache keyed on
+arguments is bounded, and the oracle takes only data types from the
+penalty route."""
 
 import ast
 import importlib.util
@@ -222,6 +223,17 @@ def test_random_draws_only_in_random_band_limited():
                  for owner, line in _calls_by_owner(tree, callee)
                  if (name, owner) != ("fracgrad.py", "random_band_limited")]
     assert not offenders, offenders
+
+
+def test_one_place_solves_and_records_an_eps_step():
+    # every eps step, a continued solve's one eps_min step included, is
+    # solved and recorded by _along_schedule; solve_penalized is the public
+    # twin that records nothing
+    tree = ast.parse((SRC / "vi.py").read_text(encoding="utf-8"))
+    owners = {callee: {owner for owner, _ in _calls_by_owner(tree, callee)}
+              for callee in ("_trace_row", "_solve_penalized_impl")}
+    assert owners == {"_trace_row": {"_along_schedule"},
+                      "_solve_penalized_impl": {"_along_schedule", "solve_penalized"}}
 
 
 def test_size_limits_only_in_fracgrad():

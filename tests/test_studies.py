@@ -58,7 +58,9 @@ def test_holder_bounds_hold(base):
     h = scalar_field(base.grid, 4.0)
     rep = holder_study_g(base, [0.4, 0.2, 0.1, 0.05], h, VI_CFG)
     assert rep.passed
-    assert math.isfinite(rep.notes["observed_exponent"])
+    assert math.isfinite(rep.constants["observed_exponent"])
+    # the fitted exponent is reported with the study's other numbers
+    assert rep.summary().endswith(f"observed_exponent={rep.constants['observed_exponent']:.6g}")
 
 
 def test_holder_rejects_negative_direction(base):
