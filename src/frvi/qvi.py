@@ -11,8 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import DomainMask, ScalarField, lp_norm
-from .fracgrad import grad_arrays, gram_spectrum, hsigma_norm
+from .fields import DomainMask, ScalarField, lp_norm, magnitude
+from .fracgrad import grad_arrays, gram_spectrum
 from .vi import (
     EllipticCoefficients,
     PenaltyConfig,
@@ -427,9 +427,11 @@ def solve_qvi(problem: QVIProblem, operator: ThresholdOperator,
         g_k = operator.apply(u)
         sol = inner_solve(g_k, sol)
         u_next = ScalarField(grid, (1.0 - damping) * u.values + damping * sol.u.values)
-        fp_res = hsigma_norm(
-            ScalarField(grid, u_next.values - u.values), problem.sigma)
-        norm_next = hsigma_norm(u_next, problem.sigma)
+        # the hsigma_norms of u_next - u and u_next, from one stacked
+        # transform: its rows keep the bits of lone ones
+        grads = grad_arrays(np.stack([u_next.values - u.values, u_next.values]),
+                            grid, problem.sigma)
+        fp_res, norm_next = (lp_norm(ScalarField(grid, magnitude(w)), 2.0) for w in grads)
         trace.append(QVITraceRow(
             outer_iter=it, fp_residual=fp_res, damping=damping,
             inner_eps_final=sol.eps_final, feas_violation=sol.feas_violation,

@@ -39,7 +39,6 @@ from .fracgrad import (
     gradient_matrix,
     gradient_rows,
     gram_spectrum,
-    hsigma_norm,
     multiplier_table,
     neg_div_arrays,
     random_band_limited,
@@ -281,28 +280,36 @@ class VISolution:
         return vi_residual(self.u, self.data)
 
 
+def _check_eps(eps: float) -> None:
+    if not EPS_FLOOR <= eps < 1.0:
+        raise ValueError(f"eps must lie in [{EPS_FLOOR}, 1), got {eps}")
+
+
+def _value(s: np.ndarray, eps: float) -> np.ndarray:
+    """penalty_value of an array s at a checked eps."""
+    return np.expm1(np.clip(s, 0.0, 1.0 / eps) / eps)
+
+
+def _slope(s: np.ndarray, eps: float) -> np.ndarray:
+    """penalty_slope of an array s at a checked eps."""
+    inside = (s >= 0.0) & (s <= 1.0 / eps)
+    return np.where(inside, np.exp(np.clip(s, 0.0, 1.0 / eps) / eps) / eps, 0.0)
+
+
 def penalty_value(s, eps: float):
     """Exponential penalty: 0 for s<0, e^(s/eps)-1 on [0, 1/eps], capped at
     e^(1/eps^2)-1 beyond.  Accepts scalars or arrays."""
-    if not EPS_FLOOR <= eps < 1.0:
-        raise ValueError(f"eps must lie in [{EPS_FLOOR}, 1), got {eps}")
-    out = np.expm1(np.clip(s, 0.0, 1.0 / eps) / eps)
-    if np.isscalar(s):
-        return float(out)
-    return out
+    _check_eps(eps)
+    out = _value(np.asarray(s, dtype=float), eps)
+    return float(out) if np.isscalar(s) else out
 
 
 def penalty_slope(s, eps: float):
     """Right-branch generalized derivative of the penalty (semismooth
     Newton convention at the kinks s=0 and s=1/eps)."""
-    if not EPS_FLOOR <= eps < 1.0:
-        raise ValueError(f"eps must lie in [{EPS_FLOOR}, 1), got {eps}")
-    s_arr = np.asarray(s, dtype=float)
-    inside = (s_arr >= 0.0) & (s_arr <= 1.0 / eps)
-    out = np.where(inside, np.exp(np.clip(s_arr, 0.0, 1.0 / eps) / eps) / eps, 0.0)
-    if np.isscalar(s):
-        return float(out)
-    return out
+    _check_eps(eps)
+    out = _slope(np.asarray(s, dtype=float), eps)
+    return float(out) if np.isscalar(s) else out
 
 
 def penalized_residual(u: ScalarField, data: ProblemData, eps: float) -> ScalarField:
@@ -421,17 +428,42 @@ def _active_gram(grid: Grid, sigma: float, inside: bytes) -> _ActiveGram:
     return _ActiveGram(DomainMask(grid, flags, padding_fraction=0.0), sigma)
 
 
+def _weighted_gram(G: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_ij G_i^T diag(c_ij) G_j for rows G of shape (N, n, m) at n nodes
+    and nodewise matrices c of shape (N, N, n)."""
+    m = G.shape[-1]
+    weighted = np.sum(c[..., None] * G[None], axis=1)
+    return G.reshape(-1, m).T @ weighted.reshape(-1, m)
+
+
+@lru_cache(maxsize=16)
+def _linear_part(grid: Grid, sigma: float, inside: bytes, scalar: bool,
+                 values: bytes) -> np.ndarray:
+    """Read-only L = sum_ij G_i^T diag(A_ij) G_j on the mask whose inside
+    flags are `inside`, A the coefficient with these values (scalar or
+    matrix per node): the Newton matrix of a system with no active node."""
+    dim = grid.dim
+    G = _cached_gradient_matrix(grid, sigma, inside)
+    a = np.frombuffer(values).reshape(-1, *(() if scalar else (dim, dim)))
+    c = np.eye(dim)[..., None] * a if scalar else np.moveaxis(a, 0, -1)
+    L = _weighted_gram(G.reshape(dim, grid.num_nodes, -1), c)
+    L.flags.writeable = False
+    return L
+
+
 class _PenalizedSystem:
-    """Residual and Jacobian of the penalized problem restricted to the
-    inside nodes, built on the applied coefficient data.A.applied.
+    """Residual and Jacobian of the penalized problem at one eps, restricted
+    to the inside nodes, built on the applied coefficient data.A.applied.
+    eps is checked once, here, and every penalty evaluation reuses it.
 
     Small problems (see _dense_gradient) hold the dense restricted gradient
     G: then w = G x, the residual is G^T flux - f, and each Newton system
-    J = sum_ij G_i^T diag(c_ij) G_j is assembled and solved exactly by LU.
-    Every other problem is matrix-free: transforms for G and G^T, and
-    preconditioned CG or BiCGSTAB for the Newton systems."""
+    J = sum_ij G_i^T diag(c_ij) G_j is assembled (see assemble) and solved
+    exactly by LU.  Every other problem is matrix-free: transforms for G and
+    G^T, and preconditioned CG or BiCGSTAB for the Newton systems."""
 
     def __init__(self, data: ProblemData, eps: float):
+        _check_eps(eps)
         self.data = data
         self.A = data.A.applied
         self.eps = eps
@@ -462,11 +494,12 @@ class _PenalizedSystem:
             return self.pack(neg_div_arrays(flux, self.grid, self.data.sigma))
         return self.G.T @ flux.reshape(-1)
 
-    def penalty(self, s: np.ndarray, branch=penalty_value) -> np.ndarray:
-        """a_* branch(s, eps) at the excess s = |w| - g: the penalty k of the
-        flux (the multiplier density), or with branch=penalty_slope its
-        slope k'.  Scaled with A's lower bound a_*, so that scaling A and f
-        together leaves every iterate, and the eps schedule, unchanged."""
+    def penalty(self, s: np.ndarray, branch=_value) -> np.ndarray:
+        """a_* penalty_value(s, eps) at the excess array s = |w| - g: the
+        penalty k of the flux (the multiplier density), or with
+        branch=_slope its slope k'.  Scaled with A's lower bound a_*, so
+        that scaling A and f together leaves every iterate, and the eps
+        schedule, unchanged."""
         return self.A.a_star * branch(s, self.eps)
 
     def residual_of_grad(self, w: np.ndarray) -> np.ndarray:
@@ -492,24 +525,33 @@ class _PenalizedSystem:
         s = mag - self.g
         safe_mag = np.where(mag > 0.0, mag, 1.0)
         # k' = 0 wherever mag could vanish (s < 0 there)
-        return self.penalty(s), self.penalty(s, penalty_slope) / safe_mag
+        return self.penalty(s), self.penalty(s, _slope) / safe_mag
 
     def assemble(self, k: np.ndarray, w: np.ndarray | None = None,
                  coef: np.ndarray | None = None) -> np.ndarray:
         """Dense sum_ij G_i^T diag(c_ij) G_j, G_i the rows of component i:
         the matrix of v -> neg_div(flux(gradient(v), k, w, coef)), with the
-        same c_ij as flux."""
+        same c_ij as flux.
+
+        Off the nodes S where k or coef is nonzero, c is A, so the matrix is
+        L + sum_ij G_(i,S)^T diag(c_ij - A_ij) G_(j,S): the cached linear
+        part L (_linear_part, one per mask, sigma and applied A) plus the
+        rows of the active nodes only (8 of 128 on binding_1d at eps_min;
+        every node at the splitting start's k = rho)."""
         dim = self.grid.dim
-        eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
-        if self.A.is_scalar:
-            c = eye * (k + self.A.values)
-        else:
-            c = eye * k + self.A.stacked
+        active = k != 0.0 if w is None else (k != 0.0) | (coef != 0.0)
+        nodes = np.flatnonzero(active)
+        c = np.eye(dim)[..., None] * k.reshape(-1)[nodes]
         if w is not None:
-            c = c + coef * (w[:, None] * w[None, :])
-        G = self.G.reshape(1, dim, -1, self.m)
-        weighted = np.sum(c.reshape(dim, dim, -1, 1) * G, axis=1)
-        return self.G.T @ weighted.reshape(-1, self.m)
+            w_active = w.reshape(dim, -1)[:, nodes]
+            c = c + coef.reshape(-1)[nodes] * (w_active[:, None] * w_active[None, :])
+        G = self.G.reshape(dim, -1, self.m)[:, nodes]
+        return self.linear_part + _weighted_gram(G, c)
+
+    @cached_property
+    def linear_part(self) -> np.ndarray:
+        return _linear_part(self.grid, self.data.sigma, self.inside.tobytes(),
+                            self.A.is_scalar, self.A.values.tobytes())
 
     def solve(self, rhs: np.ndarray, k: np.ndarray, w: np.ndarray | None = None,
               coef: np.ndarray | None = None, rtol: float = NEWTON_FORCING) -> tuple:
@@ -614,12 +656,14 @@ def solve_penalized(data: ProblemData, eps: float, init: ScalarField,
     last one too, judged on the true residual, so the inexact directions do
     not weaken the stopping test.
     """
-    u, _ = _solve_penalized_impl(data, eps, init, cfg)
-    return u
+    return _solve_penalized_impl(data, eps, init, cfg)[0]
 
 
 def _solve_penalized_impl(data: ProblemData, eps: float, init: ScalarField,
                           cfg: PenaltyConfig) -> tuple:
+    """solve_penalized, returning (u, Newton steps, system, w, r): the
+    system the loop ran on, and the gradient w = D^sigma u and residual r
+    of u that its stopping test read."""
     assert_supported(init, data.mask)
     sys = _PenalizedSystem(data, eps)
     x = sys.pack(init.values)
@@ -631,7 +675,7 @@ def _solve_penalized_impl(data: ProblemData, eps: float, init: ScalarField,
     for it in range(cfg.newton_max + 1):
         res_sup = float(np.abs(r).max())
         if res_sup <= tol:
-            return ScalarField(data.grid, sys.unpack(x)), it
+            return ScalarField(data.grid, sys.unpack(x)), it, sys, w, r
         if it == cfg.newton_max:
             failure = f"newton_max={cfg.newton_max} exceeded at eps={eps:.4g} ("
             break
@@ -797,28 +841,33 @@ def vi_residual(u: ScalarField, data: ProblemData, trials: int = 32,
     return min(values)
 
 
-def _trace_row(data: ProblemData, u: ScalarField, eps: float,
+def _l2_norm(mag: np.ndarray, hN: float) -> float:
+    """Discrete L^2 norm over the torus, sqrt(h^N sum |w|^2), of a vector
+    field given by its pointwise magnitude |w|."""
+    return float(np.sqrt(hN * np.sum(mag**2)))
+
+
+def _trace_row(sys: _PenalizedSystem, u: ScalarField, w: np.ndarray, r: np.ndarray,
                iters: int) -> tuple:
     """Trace row of the eps step's iterate u, and its penalty coefficient
-    (the multiplier density at eps), from one gradient of u."""
-    grid = data.grid
-    w = grad_arrays(u.values, grid, data.sigma)
+    (the multiplier density at eps), from the state the Newton loop of
+    sys.eps stopped in: w the gradient of u it used (G x on the dense path,
+    the spectral gradient otherwise) and r its residual."""
+    data, eps = sys.data, sys.eps
     mag = magnitude(w)
-    excess = mag - data.g.g.values
-    sys = _PenalizedSystem(data, eps)
+    excess = mag - sys.g
     k = sys.penalty(excess)
-    hN = grid.cell_volume
+    hN = data.grid.cell_volume
     sqrt_eps = math.sqrt(eps)
     comp = abs(hN * float(np.sum(k * excess)))
-    res = sys.residual_of_grad(w)
     en = _energy_of_grad(u, w, data) if data.A.is_symmetric else None
     return PenaltyTraceRow(
         eps=eps,
         newton_iters=iters,
-        residual=float(np.abs(res).max()),
+        residual=float(np.abs(r).max()),
         feas_violation=float(max(excess.max(), 0.0)),
         comp_gap=comp,
-        norm_dsu_l2=float(np.sqrt(hN * np.sum(mag**2))),
+        norm_dsu_l2=_l2_norm(mag, hN),
         k_eps_l1=hN * float(np.sum(np.abs(k))),
         k_eps_dsu2_l1=hN * float(np.sum(k * mag**2)),
         energy=en,
@@ -892,7 +941,12 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
     Runs the penalized solver along the geometric eps schedule with warm
     starts, stopping early once successive iterates differ by less than
     newton_tol in the fractional Sobolev norm; the multiplier is the
-    penalty coefficient at the final eps.
+    penalty coefficient at the final eps.  That norm, each trace row and
+    the multiplier are read off the gradient and residual that each eps
+    step's Newton loop ended with: the spectral gradient on the Krylov
+    path, G x on the dense path, where a solve makes no Fourier transform
+    once its mask's G is cached, and they differ from the spectral
+    gradient's values at round-off (README "Numerical notes").
 
     A cold solve (init None or all zero), on either path and for every A,
     starts its first eps step from _splitting_start, whose iterate lies
@@ -941,34 +995,32 @@ def solve_vi(data: ProblemData, cfg: PenaltyConfig | None = None,
 def _along_schedule(data: ProblemData, cfg: PenaltyConfig,
                     init: ScalarField | None) -> tuple:
     """solve_vi's eps schedule from init, the one place an eps step is
-    solved and recorded: (u, trace, multiplier values)."""
+    solved and recorded: (u, trace, multiplier values).  The stop test
+    reads ||D^sigma (u - u_prev)|| from the two steps' final gradients."""
     grid = data.grid
     u = init if init is not None else ScalarField(grid, np.zeros(grid.shape))
     # the start of the next eps step
     guess = u if np.any(u.values) else _splitting_start(data, cfg)
     trace = []
-    path = []  # (eps, iterate) of the last two eps steps
+    path = []  # (eps, iterate, its gradient) of the last two eps steps
     for eps in cfg.schedule():
         if len(path) == 2:
-            (eps1, u1), (eps2, u2) = path
+            (eps1, u1, _), (eps2, u2, _) = path
             guess = ScalarField(grid, u2.values + (eps - eps2) / (eps2 - eps1)
                                 * (u2.values - u1.values))
         try:
-            u_next, iters = _solve_penalized_impl(data, eps, guess, cfg)
+            u_next, iters, sys, w, r = _solve_penalized_impl(data, eps, guess, cfg)
         except SolverDivergence as exc:
             if guess is u:
                 raise
-            u_next, iters = _solve_penalized_impl(data, eps, u, cfg)
+            u_next, iters, sys, w, r = _solve_penalized_impl(data, eps, u, cfg)
             iters += len(exc.history)
         u = guess = u_next
-        row, k = _trace_row(data, u, eps, iters)
+        row, k = _trace_row(sys, u, w, r, iters)
         trace.append(row)
-        if path:
-            delta = hsigma_norm(
-                ScalarField(grid, u.values - path[-1][1].values), data.sigma)
-            if delta < cfg.newton_tol:
-                break
-        path = path[-1:] + [(eps, u)]
+        if path and _l2_norm(magnitude(w - path[-1][2]), grid.cell_volume) < cfg.newton_tol:
+            break
+        path = path[-1:] + [(eps, u, w)]
     return u, trace, k
 
 

@@ -4,9 +4,9 @@ Fourier transforms and the size limits live in the spectral core
 (and the oracle's and the inner solves' still do the counted work), every
 config key the CLI accepts is read, nothing reads the environment, random
 generators are made in two named places only and drawn from in one, one
-function solves and records an eps step, every module cache keyed on
-arguments is bounded, and the oracle takes only data types from the
-penalty route."""
+function solves and records an eps step, two solve dense linear systems,
+every module cache keyed on arguments is bounded, and the oracle takes
+only data types from the penalty route."""
 
 import ast
 import importlib.util
@@ -234,6 +234,30 @@ def test_one_place_solves_and_records_an_eps_step():
               for callee in ("_trace_row", "_solve_penalized_impl")}
     assert owners == {"_trace_row": {"_along_schedule"},
                       "_solve_penalized_impl": {"_along_schedule", "solve_penalized"}}
+
+
+def test_dense_solves_only_at_the_two_counting_points():
+    # inside vi.py an LU solve is made by _PenalizedSystem.solve (every
+    # Newton, Picard and predictor system) and by _splitting_start (its
+    # sweeps) only, the single points at which a solve can count them
+    tree = ast.parse((SRC / "vi.py").read_text(encoding="utf-8"))
+    owners = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if isinstance(child, ast.ImportFrom) and (child.module or "").endswith("linalg"):
+                owners.update(f"{owner}: imports {a.name}" for a in child.names
+                              if a.name == "solve")
+            if (isinstance(child, ast.Attribute) and child.attr == "solve"
+                    and "linalg" in (getattr(child.value, "attr", None),
+                                     getattr(child.value, "id", None))):
+                owners.add(owner or "<module>")
+            visit(child, owner)
+    visit(tree, "")
+    assert owners == {"_PenalizedSystem.solve", "_splitting_start"}
 
 
 def test_size_limits_only_in_fracgrad():

@@ -562,7 +562,7 @@ def _binding_qvi_1d():
     return prob, solution
 
 
-def test_damping_halves_after_three_non_decreasing_residuals():
+def test_damping_halves_after_a_residual_above_nine_tenths_of_the_one_before():
     # the damping halves after each residual above 0.9 times the one before
     prob, solution = _binding_qvi_1d()
     op = _Overshooting(prob.sigma, hsigma_norm(solution(150.0), prob.sigma), 8.0)

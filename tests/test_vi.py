@@ -28,6 +28,7 @@ from frvi.fracgrad import (
     grad_arrays,
     gradient_rows,
     hsigma_norm,
+    neg_div_arrays,
     random_band_limited,
 )
 from frvi.instances import (
@@ -330,6 +331,81 @@ def test_assembled_jacobian_matches_jacobian_matvec(instance):
     assert np.abs(columns @ d - rhs).max() <= 1e-9 * np.abs(rhs).max()
 
 
+def _variable_skew_binding_16():
+    # dense (N n m^2 = 1.2e6, m = 49), but A's skew part varies in space
+    grid = make_grid(2, 2.0, 16)
+    mask = mask_box(grid, 1.0)
+    skew = 0.3 * np.cos(0.5 * np.pi * grid.coordinates()[0])
+    f = ScalarField(grid, np.where(mask.inside, 400.0, 0.0))
+    return ProblemData(mask, 0.4, _skew_coefficients(grid, skew), f,
+                       Threshold(scalar_field(grid, 187.0), 187.0))
+
+
+def _full_sum(sys, k, w=None, coef=None):
+    """sum_ij G_i^T diag(c_ij) G_j over every torus node, c_ij = k delta_ij
+    + coef w_i w_j + A_ij, written out term by term."""
+    dim, nodes = sys.grid.dim, sys.grid.num_nodes
+    G = sys.G.reshape(dim, nodes, sys.m)
+    A = sys.A.values.reshape(nodes, *(() if sys.A.is_scalar else (dim, dim)))
+    total = np.zeros((sys.m, sys.m))
+    for i in range(dim):
+        for j in range(dim):
+            a = (A if i == j else 0.0) if sys.A.is_scalar else A[:, i, j]
+            c = a + (k.ravel() if i == j else 0.0)
+            if w is not None:
+                c = c + coef.ravel() * w[i].ravel() * w[j].ravel()
+            total += G[i].T @ (c[:, None] * G[j])
+    return total
+
+
+@pytest.mark.parametrize("instance", [binding_1d, _variable_skew_binding_16],
+                         ids=["scalar-A", "nonsymmetric-A"])
+@pytest.mark.parametrize("case", ["none-active", "all-active", "zero-excess"])
+def test_active_node_assembly_equals_the_full_sum(instance, case):
+    # the cached linear part plus the active rows is the sum over every
+    # node: with no active node, with every node active (the splitting
+    # start's k = rho), and with a node at s = 0 exactly (k = 0, coef > 0)
+    data = instance()
+    sys = _PenalizedSystem(data, 0.3)
+    assert sys.G is not None
+    w = coef = None
+    if case == "none-active":
+        k = np.zeros(data.grid.shape)
+    elif case == "all-active":
+        k = np.full(data.grid.shape, data.A.a_star)
+    else:
+        w = sys.gradient(_near_threshold_iterate(sys, data, seed=4))
+        mag = magnitude(w)
+        s = mag - data.g.g.values
+        node = np.unravel_index(np.argmin(np.where(s < 0.0, np.inf, s)), s.shape)
+        s[node] = 0.0
+        k = data.A.a_star * penalty_value(s, sys.eps)
+        coef = data.A.a_star * penalty_slope(s, sys.eps) / np.where(mag > 0.0, mag, 1.0)
+        assert k[node] == 0.0 and coef[node] > 0.0
+        assert 0 < np.count_nonzero(coef) < data.grid.num_nodes
+    full = _full_sum(sys, k, w, coef)
+    assert np.abs(sys.assemble(k, w, coef) - full).max() <= 1e-12 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("instance", [binding_1d, _variable_skew_binding_16],
+                         ids=["scalar-A", "nonsymmetric-A"])
+def test_two_coefficients_on_one_mask_never_share_a_linear_part(instance):
+    # another A on the same mask: 2A for the scalar one, A^T for the matrix one
+    data = instance()
+    values = 2.0 * data.A.values if data.A.is_scalar else np.swapaxes(data.A.values, -1, -2)
+    other = ProblemData(data.mask, data.sigma, EllipticCoefficients(
+        data.grid, values, a_star=data.A.a_star, a_upper=2.0 * data.A.a_upper), data.f, data.g)
+    k = np.zeros(data.grid.shape)
+    matrices = []
+    for d in (data, other, data):
+        sys = _PenalizedSystem(d, 0.3)
+        matrices.append(sys.assemble(k))
+        full = _full_sum(sys, k)
+        assert np.abs(matrices[-1] - full).max() <= 1e-12 * np.abs(full).max()
+    assert not np.allclose(matrices[0], matrices[1])
+    assert np.array_equal(matrices[0], matrices[2])
+
+
 def _variable_skew_box_32():
     grid = make_grid(2, 2.0, 32)
     mask = mask_box(grid, 1.0)
@@ -575,9 +651,9 @@ def _record_penalized_solves(monkeypatch):
     impl = frvi.vi._solve_penalized_impl
 
     def recorded(data, eps, init, cfg):
-        u, iters = impl(data, eps, init, cfg)
+        u, iters, *state = impl(data, eps, init, cfg)
         calls.append((eps, float(np.abs(data.f.values).max()), iters))
-        return u, iters
+        return u, iters, *state
     monkeypatch.setattr(frvi.vi, "_solve_penalized_impl", recorded)
     return calls
 
@@ -650,16 +726,6 @@ def _qvi_first_inner_problem():
     return inst.problem.with_threshold(inst.operator.apply(zero_field(grid)))
 
 
-def _variable_skew_binding_16():
-    # dense (N n m^2 = 1.2e6, m = 49), but A's skew part varies in space
-    grid = make_grid(2, 2.0, 16)
-    mask = mask_box(grid, 1.0)
-    skew = 0.3 * np.cos(0.5 * np.pi * grid.coordinates()[0])
-    f = ScalarField(grid, np.where(mask.inside, 400.0, 0.0))
-    return ProblemData(mask, 0.4, _skew_coefficients(grid, skew), f,
-                       Threshold(scalar_field(grid, 187.0), 187.0))
-
-
 def _count_seeds(monkeypatch):
     calls = []
     seed = frvi.vi._splitting_start
@@ -709,7 +775,7 @@ def test_splitting_start_runs_at_the_scale_of_a(monkeypatch, scale):
     # with a_*, even the constrained solution was a poor start at c = 100
     # (12 steps): the splitting start need only match it
     data = _scaled_a_and_f(binding_1d(), scale)
-    _, exact_iters = frvi.vi._solve_penalized_impl(
+    _, exact_iters, *_ = frvi.vi._solve_penalized_impl(
         data, VI_CFG.eps0, oracle_solve_vi(data, tol=1e-9), VI_CFG)
     sweeps = [0]
     project = frvi.vi.ball_projection
@@ -784,10 +850,10 @@ def test_divergence_from_a_predicted_start_reruns_the_step(monkeypatch, path, st
         if d is data and eps == target and all(c[0] != eps for c in calls):
             calls.append((eps, init.values, None, None))
             raise SolverDivergence("forced", iterate=init, history=[1.0] * 7)
-        u, iters = impl(d, eps, init, cfg)
+        u, iters, *state = impl(d, eps, init, cfg)
         if d is data:
             calls.append((eps, init.values, u.values, iters))
-        return u, iters
+        return u, iters, *state
     monkeypatch.setattr(frvi.vi, "_solve_penalized_impl", forced)
     sol = solve_vi(data, VI_CFG)
     eps = [row.eps for row in sol.trace]
@@ -851,6 +917,67 @@ def test_continued_solve_agrees_with_a_cold_one(change):
     assert [row.eps for row in continued.trace] == [VI_CFG.eps_min]
     gap = hsigma_norm(ScalarField(data.grid, continued.u.values - cold.u.values), data.sigma)
     assert gap <= 1e-6 * hsigma_norm(cold.u, data.sigma)
+
+
+def _spectral_trace_row(data, eps, u, iters):
+    """The trace row of u at eps, recomputed from its spectral gradient."""
+    hN = data.grid.cell_volume
+    w = grad_arrays(u.values, data.grid, data.sigma)
+    mag = magnitude(w)
+    excess = mag - data.g.g.values
+    k = data.A.a_star * penalty_value(excess, eps)
+    return frvi.vi.PenaltyTraceRow(
+        eps=eps, newton_iters=iters,
+        residual=float(np.abs(neg_div_arrays(k * w + data.A.applied.apply(w), data.grid,
+                                              data.sigma) - data.f.values)[data.mask.inside].max()),
+        feas_violation=float(max(excess.max(), 0.0)),
+        comp_gap=abs(hN * float(np.sum(k * excess))),
+        norm_dsu_l2=float(np.sqrt(hN * np.sum(mag**2))),
+        k_eps_l1=hN * float(np.sum(np.abs(k))),
+        k_eps_dsu2_l1=hN * float(np.sum(k * mag**2)),
+        energy=energy(u, data) if data.A.is_symmetric else None,
+        measure_u=hN * float(np.sum(excess <= math.sqrt(eps))),
+        measure_v=hN * float(np.sum((excess > math.sqrt(eps)) & (excess <= 1.0 / eps))),
+        measure_w=hN * float(np.sum(excess > 1.0 / eps)),
+        excess_integral=hN * float(np.sum(np.maximum(excess, 0.0))))
+
+
+@pytest.mark.parametrize("continued", [False, True], ids=["cold", "continued"])
+def test_dense_solve_makes_no_transform(monkeypatch, continued):
+    # every trace row is read off the Newton loop's own G x and residual;
+    # the cached G and linear part are built by the first solve
+    base = binding_1d()
+    prev = solve_vi(base, VI_CFG)
+    data = _perturbed(base, f_factor=1.1)
+    iterates = []
+    impl = frvi.vi._solve_penalized_impl
+
+    def recorded(d, eps, init, cfg):
+        u, *rest = impl(d, eps, init, cfg)
+        iterates.append(u)
+        return u, *rest
+    monkeypatch.setattr(frvi.vi, "_solve_penalized_impl", recorded)
+    forward = frvi.fracgrad._forward
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return forward(*args)
+    monkeypatch.setattr(frvi.fracgrad, "_forward", counted)
+    sol = solve_vi(data, VI_CFG, init=prev if continued else None)
+    assert calls[0] == 0
+    assert len(sol.trace) == len(iterates) == (1 if continued else len(VI_CFG.schedule()))
+    # each row against the spectral gradient of its iterate
+    tol = VI_CFG.newton_tol * (1.0 + float(np.abs(data.f.values).max()))
+    for row, u in zip(sol.trace, iterates):
+        want = _spectral_trace_row(data, row.eps, u, row.newton_iters)
+        assert abs(row.residual - want.residual) <= tol
+        for name in ("eps", "newton_iters", "feas_violation", "comp_gap", "norm_dsu_l2",
+                     "k_eps_l1", "k_eps_dsu2_l1", "energy", "measure_u", "measure_v",
+                     "measure_w", "excess_integral"):
+            assert getattr(row, name) == pytest.approx(getattr(want, name), rel=1e-9), name
+    lam = extract_multiplier(sol.u, data, sol.eps_final).values
+    assert np.abs(sol.multiplier.values - lam).max() <= 1e-9 * np.abs(lam).max()
 
 
 @pytest.mark.parametrize("instance", [binding_2d, _variable_skew_box_32])
